@@ -35,7 +35,14 @@ import numpy as np
 from .dynamics import evolve
 from .errors import FrozenDynamicsError, InconsistencyError, PurityError
 from .geometry import average_speed, grid_index, path_length, speed_profile
-from .states import bures_angle, require_density_matrix, trace_distance
+from .states import (
+    STACK_BLOCK,
+    _density_stack,
+    _lapack,
+    _raise_first_fault,
+    bures_angle,
+    require_density_matrix,
+)
 
 __all__ = [
     "AttainabilityVerdict",
@@ -260,6 +267,22 @@ class StoppingTimeCurve:
     floor_epsilon: float
 
 
+def _trace_distances(states, rho_f):
+    """Trace distance of every state of an ``(N, d, d)`` stack to
+    ``rho_f``, ``STACK_BLOCK`` states per LAPACK call; a state that is not
+    a density matrix raises :class:`StateError` naming its grid index."""
+    distance = np.empty(len(states))
+    for lo in range(0, len(states), STACK_BLOCK):
+        block = states[lo:lo + STACK_BLOCK]
+        _, _, faults = _density_stack(block, "state", "grid index", lo)
+        _raise_first_fault(faults, "grid index", lo)
+        delta = block - rho_f
+        delta = 0.5 * (delta + delta.conj().swapaxes(1, 2))
+        w = _lapack(np.linalg.eigvalsh, delta, "grid index", lo)
+        distance[lo:lo + len(block)] = 0.5 * np.sum(np.abs(w), axis=1)
+    return distance
+
+
 def stopping_time_curve(traj, rho_f, epsilons):
     """Measure threshold-crossing times of D(rho_t, rho_f) along a
     trajectory for a positive, strictly descending threshold list."""
@@ -267,14 +290,14 @@ def stopping_time_curve(traj, rho_f, epsilons):
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or len(eps) == 0:
         raise ValueError("epsilons must be a non-empty 1-d list")
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("epsilons must be finite")
     if np.any(eps <= 0.0):
         raise ValueError("epsilons must be positive")
     if np.any(np.diff(eps) >= 0.0):
         raise ValueError("epsilons must be strictly descending")
 
-    distance = np.empty(len(traj.times))
-    for i in range(len(traj.times)):
-        distance[i] = trace_distance(traj.states[i], rho_f)
+    distance = _trace_distances(traj.states, rho_f)
 
     tail = distance[-max(2, len(distance) // 10):]
     noise = float(np.median(np.abs(np.diff(tail))))

@@ -24,6 +24,7 @@ error (nothing is written to ``--out``), 3 numerical failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -70,7 +71,14 @@ def _parse_float_list(text, flag):
         raise ConfigError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag}: empty list")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{flag}: expected finite numbers, got {text!r}")
     return values
+
+
+def _require_horizons(taus, flag):
+    if not all(math.isfinite(t) and t > 0 for t in taus):
+        raise ConfigError(f"{flag}: horizons must be positive and finite")
 
 
 def build_parser():
@@ -158,8 +166,9 @@ def _resolve_model(args):
         raise ConfigError("--model is required")
     gamma = 1.0 if args.gamma is None else args.gamma
     omega = 1.0 if args.omega is None else args.omega
-    if gamma < 0 or omega < 0:
-        raise ConfigError("--gamma and --omega must be nonnegative")
+    for flag, value in (("--gamma", gamma), ("--omega", omega)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{flag}: must be finite and nonnegative, got {value}")
     if args.model in CATALOG_BUILDERS:
         return model_by_name(args.model, gamma=gamma, omega=omega)
     if args.model.endswith(".json") or os.path.exists(args.model):
@@ -210,8 +219,8 @@ def _common_numbers(args):
     if steps < 16:
         raise ConfigError(f"--steps: must be at least 16, got {steps}")
     atol = 1e-3 if args.atol_attainable is None else args.atol_attainable
-    if atol <= 0:
-        raise ConfigError("--atol-attainable must be positive")
+    if not (math.isfinite(atol) and atol > 0):
+        raise ConfigError("--atol-attainable: must be positive and finite")
     return steps, atol
 
 
@@ -254,12 +263,12 @@ def cmd_run(args):
     steps, atol = _common_numbers(args)
     if args.tau is not None:
         taus = [args.tau]
+        _require_horizons(taus, "--tau")
     elif args.tau_list is not None:
         taus = _parse_float_list(args.tau_list, "--tau-list")
+        _require_horizons(taus, "--tau-list")
     else:
         raise ConfigError("run: pass --tau or --tau-list")
-    if any(t <= 0 for t in taus):
-        raise ConfigError("--tau: horizons must be positive")
     lines = [REPORT_HEADER]
     for tau in taus:
         report = build_report(evolve(model, rho0, tau, steps), atol=atol)
@@ -274,8 +283,7 @@ def cmd_epsilon_sweep(args):
     steps, _ = _common_numbers(args)
     if args.tau is None:
         raise ConfigError("epsilon-sweep: pass --tau (the horizon)")
-    if args.tau <= 0:
-        raise ConfigError("--tau: must be positive")
+    _require_horizons([args.tau], "--tau")
     if args.eps_list is not None:
         eps = _parse_float_list(args.eps_list, "--eps-list")
     else:
@@ -303,8 +311,7 @@ def cmd_divergence_scan(args):
     if args.tau_list is None:
         raise ConfigError("divergence-scan: pass --tau-list")
     taus = _parse_float_list(args.tau_list, "--tau-list")
-    if any(t <= 0 for t in taus):
-        raise ConfigError("--tau-list: horizons must be positive")
+    _require_horizons(taus, "--tau-list")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("--tau-list: horizons must be strictly ascending")
     reports = divergence_scan(model, rho0, taus, steps, atol=atol)

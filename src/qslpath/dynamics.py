@@ -30,6 +30,7 @@ The catalog ships four qubit models whose closed forms serve as oracles:
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -120,8 +121,40 @@ class LindbladModel:
         for k, (op, rate) in enumerate(self.jumps):
             if np.asarray(op).shape != (self.dim, self.dim):
                 raise ModelError(f"{self.name}: jumps[{k}] has shape {np.asarray(op).shape}")
-            if rate < 0:
-                raise ModelError(f"{self.name}: jumps[{k}] rate {rate} is negative")
+            if not np.all(np.isfinite(op)):
+                raise ModelError(f"{self.name}: jumps[{k}] operator has non-finite entries")
+            _require_rate(rate, f"{self.name}: jumps[{k}] rate")
+
+
+def _require_rate(value, what):
+    """Reject a rate or frequency that is negative, NaN or infinite."""
+    if not math.isfinite(value):
+        raise ModelError(f"{what} {value} is not finite")
+    if value < 0:
+        raise ModelError(f"{what} {value} is negative")
+
+
+def _gksl_rhs(model):
+    """The GKSL generator of ``model`` as a function of ``rho``.
+
+    The returned closure accepts one ``(d, d)`` state or an ``(N, d, d)``
+    stack; jump products are formed once here, outside the callers' loops.
+    """
+    ham = model.hamiltonian
+    terms = []
+    for op, rate in model.jumps:
+        if rate > 0.0:
+            op = np.asarray(op, dtype=complex)
+            opd = op.conj().T
+            terms.append((op, opd, opd @ op, rate))
+
+    def rhs(rho):
+        out = -1.0j * (ham @ rho - rho @ ham)
+        for op, opd, opdop, rate in terms:
+            out = out + rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
+        return out
+
+    return rhs
 
 
 def lindblad_rhs(model, rho):
@@ -134,16 +167,7 @@ def lindblad_rhs(model, rho):
         raise StateError(
             f"state shape {rho.shape} does not match model dimension {model.dim}"
         )
-    h = model.hamiltonian
-    out = -1.0j * (h @ rho - rho @ h)
-    for op, rate in model.jumps:
-        if rate == 0.0:
-            continue
-        op = np.asarray(op, dtype=complex)
-        opd = op.conj().T
-        opdop = opd @ op
-        out += rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
-    return out
+    return _gksl_rhs(model)(rho)
 
 
 @dataclass(frozen=True)
@@ -184,8 +208,8 @@ def evolve(model, rho0, tau, steps, renormalize=True):
     step index.  ``renormalize=False`` exposes the raw integrator for
     drift measurements.
     """
-    if tau <= 0:
-        raise ModelError(f"horizon tau must be positive, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ModelError(f"horizon tau must be positive and finite, got {tau}")
     if steps < MIN_STEPS:
         raise ModelError(f"steps must be at least {MIN_STEPS}, got {steps}")
     rho0 = require_density_matrix(rho0, name="initial state")
@@ -201,21 +225,7 @@ def evolve(model, rho0, tau, steps, renormalize=True):
     states = np.empty((steps + 1, n, n), dtype=complex)
     derivs = np.empty((steps + 1, n, n), dtype=complex)
 
-    # Flatten the jump structure once; the inner loop is the hot path.
-    ham = model.hamiltonian
-    ops = [
-        (np.asarray(op, dtype=complex), (np.asarray(op, dtype=complex)).conj().T, rate)
-        for op, rate in model.jumps
-        if rate > 0.0
-    ]
-    opdops = [(op, opd, opd @ op, rate) for op, opd, rate in ops]
-
-    def rhs(rho):
-        out = -1.0j * (ham @ rho - rho @ ham)
-        for op, opd, opdop, rate in opdops:
-            out = out + rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
-        return out
-
+    rhs = _gksl_rhs(model)
     check_every = max(1, steps // 64)
     max_renorm = 0.0
     rho = rho0.copy()
@@ -295,8 +305,7 @@ def stationary_state(model, checkpoint_budget=10_000):
 
 def amplitude_damping(gamma):
     """Decay |1> -> |0> at rate gamma, canonical start |1><1|."""
-    if gamma < 0:
-        raise ModelError(f"amplitude-damping: rate {gamma} is negative")
+    _require_rate(gamma, "amplitude-damping: rate")
 
     def state(t):
         e = np.exp(-gamma * t)
@@ -328,8 +337,7 @@ def amplitude_damping(gamma):
 def pure_dephasing(gamma):
     """Coherence decay under L = sigma_z at rate gamma, canonical start
     |+><+|.  Bloch x(t) = e^{-2 gamma t}, populations frozen."""
-    if gamma < 0:
-        raise ModelError(f"pure-dephasing: rate {gamma} is negative")
+    _require_rate(gamma, "pure-dephasing: rate")
 
     def state(t):
         return bloch_to_state([np.exp(-2.0 * gamma * t), 0.0, 0.0])
@@ -361,8 +369,7 @@ def precession(omega):
     """Unitary rotation under H = (omega/2) sigma_z, canonical start
     |+><+|.  The Bloch vector turns at angular rate omega, so the Bures
     speed is the constant omega/2."""
-    if omega < 0:
-        raise ModelError(f"precession: frequency {omega} is negative")
+    _require_rate(omega, "precession: frequency")
 
     def state(t):
         return bloch_to_state([np.cos(omega * t), np.sin(omega * t), 0.0])
@@ -407,10 +414,8 @@ def spiral(gamma, omega):
     """Precession plus dephasing: Bloch e^{-2 gamma t} (cos wt, sin wt, 0)
     from |+><+|.  For omega > 0 the path is not a geodesic and the
     maximally mixed stationary state is reached only as t -> infinity."""
-    if gamma < 0:
-        raise ModelError(f"spiral: rate {gamma} is negative")
-    if omega < 0:
-        raise ModelError(f"spiral: frequency {omega} is negative")
+    _require_rate(gamma, "spiral: rate")
+    _require_rate(omega, "spiral: frequency")
 
     def state(t):
         r = np.exp(-2.0 * gamma * t)
@@ -498,9 +503,11 @@ def matrix_from_wire(obj, dim, where):
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
+            or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in entry)
         ):
-            raise ModelError(f"{where}[{i}]: expected an [re, im] number pair, got {entry!r}")
+            raise ModelError(
+                f"{where}[{i}]: expected an [re, im] pair of finite numbers, got {entry!r}"
+            )
         out[i] = complex(entry[0], entry[1])
     return out.reshape(dim, dim)
 
@@ -535,8 +542,8 @@ def model_from_dict(doc):
             raise ModelError(f"jumps[{k}].matrix: missing")
         op = matrix_from_wire(jd["matrix"], dim, f"jumps[{k}].matrix")
         rate = jd.get("rate")
-        if not isinstance(rate, (int, float)) or rate < 0:
-            raise ModelError(f"jumps[{k}].rate: expected a number >= 0, got {rate!r}")
+        if not isinstance(rate, (int, float)) or not math.isfinite(rate) or rate < 0:
+            raise ModelError(f"jumps[{k}].rate: expected a finite number >= 0, got {rate!r}")
         jumps.append((op, float(rate)))
     name = doc.get("name", "custom")
     if not isinstance(name, str):

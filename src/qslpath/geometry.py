@@ -8,9 +8,11 @@ spectrally:
 
 with {p_j, |j>} the eigensystem of rho and eta = 1e-12 the support cutoff
 (eigenvalue pairs below eta belong to directions outside the support and
-are excluded).  For diagonal families this reduces to the classical Fisher
-information sum over dp_j^2 / p_j; for qubits there is an independent
-closed form in Bloch coordinates used for cross-validation.
+are excluded).  Along a trajectory the spectra come from LAPACK over
+stacks of grid points, validated one block at a time.  For diagonal
+families this reduces to the classical Fisher information sum over
+dp_j^2 / p_j; for qubits there is an independent closed form in Bloch
+coordinates used for cross-validation.
 
 Path lengths are cumulative integrals of the speed over the trajectory
 grid.  Trajectories that start at a pure state and immediately lose purity
@@ -28,14 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolverError, StateError
+from .dynamics import _gksl_rhs
+from .errors import StateError
 from .states import (
+    STACK_BLOCK,
+    TRACE_TOL,
+    _density_stack,
+    _hermitian_faults,
+    _lapack,
     _norms_from_eigenvalues,
-    eigh,
-    eigh_values,
+    _raise_first_fault,
+    _require_square,
     purity,
-    require_density_matrix,
-    require_hermitian,
 )
 
 __all__ = [
@@ -53,25 +59,70 @@ SUPPORT_CUTOFF = 1e-12
 PURE_BLOCH_TOL = 1e-9
 
 
+def _validated_eigh(rho, drho, label=None, first=0):
+    """Eigendecomposition of an ``(N, d, d)`` stack of states, after the
+    checks :func:`qfi_rate` makes on each (state, derivative) pair.
+
+    The first failing pair raises :class:`StateError`, prefixed
+    ``"<label> <first + k>: "`` when a label is given; the positivity check
+    reads the eigenvalues of the same LAPACK call.
+    """
+    w, v, faults = _density_stack(rho, "qfi_rate state", label, first, vectors=True)
+    d_tr = np.trace(drho, axis1=1, axis2=2).real
+    _raise_first_fault(
+        faults
+        + _hermitian_faults(drho, "qfi_rate derivative")
+        + [(np.abs(d_tr) > TRACE_TOL,
+            lambda k: f"qfi_rate derivative has trace {d_tr[k]:.3e}, expected 0")],
+        label,
+        first,
+    )
+    return w, v
+
+
+def _qfi(w, v, drho, support_cutoff):
+    """Fisher information of each state (eigenvalues ``w``, eigenvectors
+    ``v``) moving with derivative ``drho``, over a stack."""
+    p = np.maximum(w, 0.0)
+    m = v.conj().swapaxes(1, 2) @ drho @ v
+    denom = p[:, :, None] + p[:, None, :]
+    mask = denom > support_cutoff
+    terms = np.abs(m) ** 2 / np.where(mask, denom, 1.0)
+    return np.maximum(2.0 * np.sum(terms, axis=(1, 2), where=mask), 0.0)
+
+
 def qfi_rate(rho, drho, support_cutoff=SUPPORT_CUTOFF):
     """Quantum Fisher information of the time parameter for state ``rho``
     moving with generator derivative ``drho``.
 
     Nonnegative; the Bures speed is sqrt of this over 2.
     """
-    rho = require_density_matrix(rho, name="qfi_rate state")
-    drho = require_hermitian(drho, name="qfi_rate derivative")
-    if abs(np.trace(drho).real) > 1e-10:
+    rho = _require_square(rho, "qfi_rate state")[None]
+    drho = _require_square(drho, "qfi_rate derivative")[None]
+    if drho.shape != rho.shape:
         raise StateError(
-            f"qfi_rate derivative has trace {np.trace(drho).real:.3e}, expected 0"
+            f"qfi_rate derivative has shape {drho.shape[1:]}, state {rho.shape[1:]}"
         )
-    spec = eigh(rho)
-    p = np.maximum(spec.eigenvalues, 0.0)
-    m = spec.eigenvectors.conj().T @ drho @ spec.eigenvectors
-    denom = p[:, None] + p[None, :]
-    mask = denom > support_cutoff
-    value = 2.0 * float(np.sum((np.abs(m[mask]) ** 2) / denom[mask]))
-    return max(value, 0.0)
+    w, v = _validated_eigh(rho, drho)
+    return float(_qfi(w, v, drho, support_cutoff)[0])
+
+
+def _speed_samples(states, derivs, label):
+    """Fisher information and the (op, hs, tr) Schatten norms of the
+    derivative at every point of a stack, ``STACK_BLOCK`` points per LAPACK
+    call; invalid points raise with ``label`` and their index."""
+    n = len(states)
+    qfi = np.empty(n)
+    norms = np.empty((3, n))
+    for lo in range(0, n, STACK_BLOCK):
+        hi = min(lo + STACK_BLOCK, n)
+        rho, drho = states[lo:hi], derivs[lo:hi]
+        w, v = _validated_eigh(rho, drho, label, lo)
+        qfi[lo:hi] = _qfi(w, v, drho, SUPPORT_CUTOFF)
+        norms[:, lo:hi] = _norms_from_eigenvalues(
+            _lapack(np.linalg.eigvalsh, drho, label, lo)
+        )
+    return qfi, norms
 
 
 def qfi_rate_bloch(r, rdot):
@@ -139,76 +190,41 @@ def _refined_origin(traj, cells, substeps):
 
     States at sub-nodes are reached by short RK4 steps restarted from the
     stored grid state of each cell, so the samples stay consistent with
-    the trajectory to integrator accuracy.
+    the trajectory to integrator accuracy.  All cells advance together as
+    one stack, each with its own step sizes.
     """
-    model = traj.model
-    ham = model.hamiltonian
-    opdops = [
-        (np.asarray(op, dtype=complex), np.asarray(op, dtype=complex).conj().T, rate)
-        for op, rate in model.jumps
-        if rate > 0.0
-    ]
-    opdops = [(op, opd, opd @ op, rate) for op, opd, rate in opdops]
-
-    def rhs(rho):
-        out = -1.0j * (ham @ rho - rho @ ham)
-        for op, opd, opdop, rate in opdops:
-            out = out + rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
-        return out
-
-    s_nodes = np.sqrt(traj.times)
-    times, speeds, nop, nhs, ntr = [], [], [], [], []
-    for i in range(cells):
-        sub_s = np.linspace(s_nodes[i], s_nodes[i + 1], substeps + 1)
-        sub_t = sub_s * sub_s
-        rho = traj.states[i].copy()
-        t_now = traj.times[i]
-        for t_next in sub_t[1:-1]:
-            dt = t_next - t_now
-            k1 = rhs(rho)
-            k2 = rhs(rho + (0.5 * dt) * k1)
-            k3 = rhs(rho + (0.5 * dt) * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-            rho = rho / rho.trace().real
-            t_now = t_next
-            deriv = rhs(rho)
-            times.append(t_next)
-            speeds.append(0.5 * np.sqrt(qfi_rate(rho, deriv)))
-            o, h_, t_ = _norms_from_eigenvalues(eigh_values(deriv))
-            nop.append(o)
-            nhs.append(h_)
-            ntr.append(t_)
-    return (
-        np.asarray(times),
-        np.asarray(speeds),
-        np.asarray(nop),
-        np.asarray(nhs),
-        np.asarray(ntr),
-    )
+    rhs = _gksl_rhs(traj.model)
+    s_nodes = np.sqrt(traj.times[: cells + 1])
+    sub_s = np.linspace(s_nodes[:-1], s_nodes[1:], substeps + 1, axis=1)
+    sub_t = sub_s * sub_s
+    rho = traj.states[:cells].copy()
+    t_now = traj.times[:cells]
+    sub_states = np.empty((cells, substeps - 1) + rho.shape[1:], dtype=complex)
+    for j in range(1, substeps):
+        t_next = sub_t[:, j]
+        dt = (t_next - t_now)[:, None, None]
+        k1 = rhs(rho)
+        k2 = rhs(rho + (0.5 * dt) * k1)
+        k3 = rhs(rho + (0.5 * dt) * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+        rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        t_now = t_next
+        sub_states[:, j - 1] = rho
+    states = sub_states.reshape((-1,) + rho.shape[1:])
+    qfi, (nop, nhs, ntr) = _speed_samples(states, rhs(states), "origin sample")
+    return sub_t[:, 1:-1].reshape(-1), 0.5 * np.sqrt(qfi), nop, nhs, ntr
 
 
 def speed_profile(traj, origin_cells=ORIGIN_CELLS, origin_substeps=ORIGIN_SUBSTEPS):
     """Evaluate Fisher-information and Schatten-norm speeds at every grid
-    point of a trajectory, plus refined samples near the origin."""
+    point of a trajectory, plus refined samples near the origin.
+
+    An invalid state or derivative raises :class:`StateError` naming its
+    grid index."""
     n = len(traj.times)
-    qfi = np.empty(n)
-    op = np.empty(n)
-    hs = np.empty(n)
-    tr = np.empty(n)
-    for i in range(n):
-        try:
-            qfi[i] = qfi_rate(traj.states[i], traj.derivatives[i])
-            op[i], hs[i], tr[i] = _norms_from_eigenvalues(
-                eigh_values(traj.derivatives[i])
-            )
-        except EigensolverError as exc:
-            raise EigensolverError(
-                f"grid index {i}: {exc}", residual=exc.residual
-            ) from exc
-        except StateError as exc:
-            raise StateError(f"grid index {i}: {exc}") from exc
+    qfi, (op, hs, tr) = _speed_samples(traj.states, traj.derivatives, "grid index")
     cells = min(origin_cells, n - 1)
     if cells > 0 and origin_substeps > 1:
         o_times, o_speed, o_op, o_hs, o_tr = _refined_origin(traj, cells, origin_substeps)

@@ -7,9 +7,13 @@ rather than silently repairing bad input; the one sanctioned repair is
 clamping eigenvalues in ``(-PSD_TOL, 0)`` to zero, since fixed-step
 integration routinely produces harmless tiny negatives.
 
-The eigensolver is a cyclic Jacobi iteration for complex Hermitian
-matrices.  At these dimensions it is robust, dependency-free, and exact in
-one sweep for qubits; tests cross-check it against ``numpy.linalg``.
+The single-matrix helpers (:func:`eigh`, :func:`eigh_values`, the
+metrics) use a cyclic Jacobi iteration for complex Hermitian matrices.  At
+these dimensions it is robust, dependency-free, and exact in one sweep for
+qubits; tests cross-check it against ``numpy.linalg``.  Trajectory-wide
+spectra go through LAPACK (``numpy.linalg.eigh``/``eigvalsh``) over
+``(N, d, d)`` stacks of at most :data:`STACK_BLOCK` matrices, validated by
+the same checks, tolerances and messages as the single-matrix validators.
 """
 
 import numpy as np
@@ -48,25 +52,99 @@ ARCCOS_SLACK = 1e-8
 MIN_DIM = 2
 MAX_DIM = 8
 
+# Matrices per LAPACK call when a whole trajectory is diagonalized; bounds
+# the stacked temporaries independently of the grid length.
+STACK_BLOCK = 512
 
-def require_hermitian(a, name="matrix"):
-    """Validate and return ``a`` as a complex Hermitian matrix.
 
-    Checks shape, supported dimension, Hermiticity to ``1e-12`` in
-    max-norm, and real diagonal to ``1e-12``.
-    """
+def _require_square(a, name):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StateError(f"{name}: expected a square matrix, got shape {a.shape}")
     d = a.shape[0]
     if not MIN_DIM <= d <= MAX_DIM:
         raise StateError(f"{name}: unsupported dimension {d} (need {MIN_DIM}..{MAX_DIM})")
-    dev = np.max(np.abs(a - a.conj().T))
-    if dev > HERMITIAN_TOL:
-        raise StateError(f"{name}: not Hermitian (max deviation {dev:.3e})")
-    diag_imag = np.max(np.abs(a.diagonal().imag))
-    if diag_imag > HERMITIAN_TOL:
-        raise StateError(f"{name}: diagonal has imaginary part {diag_imag:.3e}")
+    return a
+
+
+def _hermitian_faults(a, name):
+    """The checks of :func:`require_hermitian` over an ``(N, d, d)`` stack,
+    in order: a list of (failure mask, message for matrix k)."""
+    finite = np.isfinite(a).all(axis=(1, 2))
+    dev = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    diag_imag = np.abs(np.diagonal(a, axis1=1, axis2=2).imag).max(axis=1)
+    return [
+        (~finite, lambda k: f"{name}: non-finite entries"),
+        (dev > HERMITIAN_TOL, lambda k: f"{name}: not Hermitian (max deviation {dev[k]:.3e})"),
+        (diag_imag > HERMITIAN_TOL,
+         lambda k: f"{name}: diagonal has imaginary part {diag_imag[k]:.3e}"),
+    ]
+
+
+def _density_faults(rho, min_eigenvalues, name):
+    """The checks of :func:`require_density_matrix` over a stack whose
+    smallest eigenvalues are already known."""
+    tr = np.trace(rho, axis1=1, axis2=2)
+    bad_trace = (np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > HERMITIAN_TOL)
+    return _hermitian_faults(rho, name) + [
+        (bad_trace, lambda k: f"{name}: trace is {tr[k]}, expected 1"),
+        (min_eigenvalues < -PSD_TOL,
+         lambda k: f"{name}: negative eigenvalue {min_eigenvalues[k]:.3e}"),
+    ]
+
+
+def _raise_first_fault(faults, label=None, first=0):
+    """Raise :class:`StateError` for the first matrix failing any check,
+    with the message of its first failed check in list order, prefixed
+    ``"<label> <first + k>: "`` when a label is given."""
+    bad = np.stack([mask for mask, _ in faults])
+    hit = bad.any(axis=0)
+    if hit.any():
+        k = int(np.argmax(hit))
+        message = faults[int(np.argmax(bad[:, k]))][1](k)
+        raise StateError(message if label is None else f"{label} {first + k}: {message}")
+
+
+def _lapack(solver, a, label=None, first=0):
+    """``solver(a)`` for a ``numpy.linalg`` routine over an ``(N, d, d)``
+    stack; a ``LinAlgError`` becomes an :class:`EigensolverError` naming
+    the first matrix that fails on its own."""
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        k = 0
+        for k in range(len(a)):
+            try:
+                solver(a[k])
+            except np.linalg.LinAlgError:
+                break
+        where = "" if label is None else f"{label} {first + k}: "
+        raise EigensolverError(f"{where}LAPACK eigensolver failed: {exc}") from exc
+
+
+def _density_stack(rho, name, label=None, first=0, vectors=False):
+    """LAPACK spectrum of an ``(N, d, d)`` stack of states with the checks
+    of :func:`require_density_matrix` on each: ``(w, v, faults)``, where
+    ``v`` is None unless ``vectors`` and ``faults`` goes to
+    :func:`_raise_first_fault`.  Non-finite matrices are swapped for the
+    identity before the solver sees them; their fault comes first."""
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    rho_safe = rho if finite.all() else np.where(finite[:, None, None], rho, np.eye(rho.shape[1]))
+    if vectors:
+        w, v = _lapack(np.linalg.eigh, rho_safe, label, first)
+    else:
+        w, v = _lapack(np.linalg.eigvalsh, rho_safe, label, first), None
+    return w, v, _density_faults(rho, w[:, 0], name)
+
+
+def require_hermitian(a, name="matrix"):
+    """Validate and return ``a`` as a complex Hermitian matrix.
+
+    Checks shape, supported dimension, finite entries, Hermiticity to
+    ``1e-12`` in max-norm, and real diagonal to ``1e-12``.
+    """
+    a = _require_square(a, name)
+    _raise_first_fault(_hermitian_faults(a[None], name))
     return a
 
 
@@ -77,12 +155,7 @@ def require_density_matrix(rho, name="state"):
     part to ``1e-12``) and positive semidefiniteness up to ``-1e-10``.
     """
     rho = require_hermitian(rho, name=name)
-    tr = np.trace(rho)
-    if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > HERMITIAN_TOL:
-        raise StateError(f"{name}: trace is {tr}, expected 1")
-    w = eigh_values(rho)
-    if w[0] < -PSD_TOL:
-        raise StateError(f"{name}: negative eigenvalue {w[0]:.3e}")
+    _raise_first_fault(_density_faults(rho[None], eigh_values(rho)[:1], name))
     return rho
 
 
@@ -244,12 +317,13 @@ def trace_distance(rho, sigma):
 
 
 def _norms_from_eigenvalues(w):
-    """(op, hs, tr) Schatten norms of a Hermitian matrix from its
-    eigenvalues; the op <= hs <= tr ordering is exact post-eigensolve."""
+    """(op, hs, tr) Schatten norms of Hermitian matrices from their
+    eigenvalues along the last axis; the op <= hs <= tr ordering is exact
+    post-eigensolve."""
     absw = np.abs(w)
-    op = float(np.max(absw))
-    hs = float(np.sqrt(np.sum(absw * absw)))
-    tr = float(np.sum(absw))
+    op = np.max(absw, axis=-1)
+    hs = np.sqrt(np.sum(absw * absw, axis=-1))
+    tr = np.sum(absw, axis=-1)
     return op, hs, tr
 
 
@@ -262,7 +336,7 @@ def schatten_norm(a, which):
     a = require_hermitian(a, name="schatten_norm input")
     op, hs, tr = _norms_from_eigenvalues(eigh_values(a))
     try:
-        return {"op": op, "hs": hs, "tr": tr}[which]
+        return float({"op": op, "hs": hs, "tr": tr}[which])
     except KeyError:
         raise ValueError(f"unknown Schatten norm {which!r}; use 'op', 'hs' or 'tr'") from None
 

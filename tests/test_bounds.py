@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from qslpath import (
     InconsistencyError,
     LindbladModel,
     PurityError,
+    StateError,
     amplitude_damping,
+    bloch_to_state,
     build_report,
     classify_attainability,
     deffner_lutz,
@@ -23,8 +27,10 @@ from qslpath import (
     tau_av,
     tau_from_speed_functional,
     tau_min,
+    trace_distance,
 )
-from conftest import random_trajectory
+from qslpath.bounds import _trace_distances
+from conftest import random_density, random_trajectory
 
 FROZEN = LindbladModel(name="frozen", dim=2,
                        hamiltonian=np.zeros((2, 2), dtype=complex), jumps=[])
@@ -298,3 +304,84 @@ class TestBoundReport:
         assert np.isnan(report.tau_op)
         assert not np.isnan(report.tau_min)
         assert not np.isnan(report.tau_av)
+
+
+class TestBatchedTraceDistance:
+    """Stacked LAPACK trace distances against the per-point Jacobi helper,
+    and per-block validation of the trajectory states."""
+
+    def assert_matches_reference(self, traj, rho_f):
+        got = _trace_distances(traj.states, rho_f)
+        expected = np.array([trace_distance(rho, rho_f) for rho in traj.states])
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+        eps = [0.4, 0.2, 0.1, 0.05]
+        curve = stopping_time_curve(traj, rho_f, eps)
+        for e, t in zip(eps, curve.times):
+            below = expected < e
+            assert (np.isnan(t) and not below.any()) or t == traj.times[np.argmax(below)]
+
+    def test_near_pure_start(self):
+        model = spiral(0.5, 5.0)
+        rho_f, _ = stationary_state(model)
+        self.assert_matches_reference(
+            evolve(model, bloch_to_state([1.0 - 1e-6, 0.0, 0.0]), 2.0, 600), rho_f)
+
+    def test_damping_as_t_goes_to_zero(self):
+        model = amplitude_damping(1.0)
+        rho_f, _ = stationary_state(model)
+        self.assert_matches_reference(evolve(model, model.rho0, 1e-3, 64), rho_f)
+
+    def test_spiral_over_several_blocks(self):
+        model = spiral(0.5, 5.0)
+        rho_f, _ = stationary_state(model)
+        self.assert_matches_reference(evolve(model, model.rho0, 3.0, 1200), rho_f)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_models(self, rng, dim):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        j = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        model = LindbladModel(name="random", dim=dim, hamiltonian=0.5 * (g + g.conj().T),
+                              jumps=[(j / np.sqrt(dim), 0.5)])
+        traj = evolve(model, random_density(rng, dim), 1.0, 64)
+        self.assert_matches_reference(traj, random_density(rng, dim))
+
+    def test_tiny_distances_follow_closed_form(self):
+        # D(t) = exp(-2 gamma t) / 2 on the dephasing path from |+><+|; the
+        # stacked solver resolves it well below 1e-13 where Jacobi's
+        # off-diagonal threshold rounded it to zero
+        model = pure_dephasing(1.0)
+        rho_f, _ = stationary_state(model)
+        traj = evolve(model, model.rho0, 20.0, 20000)
+        got = _trace_distances(traj.states, rho_f)
+        closed = 0.5 * np.exp(-2.0 * traj.times)
+        resolved = closed > 1e-15
+        np.testing.assert_allclose(got[resolved], closed[resolved], rtol=1e-6)
+        eps = [1e-14, 1e-15]
+        curve = stopping_time_curve(traj, rho_f, eps)
+        for e, t in zip(eps, curve.times):
+            assert abs(t - np.log(1.0 / (2.0 * e)) / 2.0) <= traj.times[1] + 1e-12
+
+    @pytest.mark.parametrize("index", [37, 600])
+    @pytest.mark.parametrize("corrupt,words", [
+        (lambda rho: rho + np.array([[0.0, 1e-6], [0.0, 0.0]]), "not Hermitian"),
+        (lambda rho: rho * (1.0 + 1e-8), "trace"),
+        (lambda rho: np.diag([1.0 + 1e-6, -1e-6]).astype(complex), "negative eigenvalue"),
+        (lambda rho: np.where(np.eye(2, dtype=bool), np.nan, rho), "non-finite"),
+    ])
+    def test_corrupted_state_names_grid_index(self, corrupt, words, index):
+        model = pure_dephasing(1.0)
+        rho_f, _ = stationary_state(model)
+        traj = evolve(model, model.rho0, 2.0, 700)
+        states = traj.states.copy()
+        states[index] = corrupt(states[index])
+        with pytest.raises(StateError) as err:
+            stopping_time_curve(dataclasses.replace(traj, states=states), rho_f, [0.1])
+        assert f"grid index {index}:" in str(err.value)
+        assert words in str(err.value)
+
+    def test_non_finite_thresholds_rejected(self):
+        model = pure_dephasing(1.0)
+        rho_f, _ = stationary_state(model)
+        traj = evolve(model, model.rho0, 1.0, 64)
+        with pytest.raises(ValueError):
+            stopping_time_curve(traj, rho_f, [1e-2, float("nan")])

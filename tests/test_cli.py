@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qslpath
 from qslpath.cli import REPORT_HEADER, SWEEP_HEADER, main
 
 
@@ -168,6 +170,29 @@ class TestConfigErrors:
     def test_negative_rate(self):
         assert run_cli("run", "--model", "spiral", "--gamma", "-1", "--tau", "1") == 2
 
+    @pytest.mark.parametrize("argv,field", [
+        (["run", "--model", "spiral", "--gamma", "nan", "--tau", "1"], "--gamma"),
+        (["run", "--model", "spiral", "--gamma", "inf", "--tau", "1"], "--gamma"),
+        (["run", "--model", "spiral", "--omega", "nan", "--tau", "1"], "--omega"),
+        (["run", "--model", "spiral", "--tau", "nan"], "--tau"),
+        (["run", "--model", "spiral", "--tau", "inf"], "--tau"),
+        (["run", "--model", "spiral", "--tau-list", "1,nan"], "--tau-list"),
+        (["epsilon-sweep", "--model", "pure-dephasing", "--tau", "nan"], "--tau"),
+        (["epsilon-sweep", "--model", "pure-dephasing", "--tau", "inf"], "--tau"),
+        (["divergence-scan", "--model", "spiral", "--tau-list", "1,inf"], "--tau-list"),
+    ])
+    def test_non_finite_numbers_rejected(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+        assert field in capsys.readouterr().err
+
+    def test_non_finite_config_rate_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": "spiral", "gamma": NaN, "tau": 1.0}')
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert "--gamma" in capsys.readouterr().err
+
     def test_non_descending_eps(self):
         assert run_cli("epsilon-sweep", "--model", "pure-dephasing", "--tau", "1",
                        "--eps-list", "1e-3,1e-2") == 2
@@ -275,9 +300,12 @@ class TestOtherCommands:
             assert name in text
 
     def test_entry_point_help(self):
+        # the child imports the same package as this test process
+        src = os.path.dirname(os.path.dirname(qslpath.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "qslpath.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "epsilon-sweep" in proc.stdout

@@ -145,6 +145,13 @@ class TestEvolve:
         with pytest.raises(ModelError):
             evolve(model, model.rho0, -1.0, 64)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_rejects_non_finite_horizon(self, tau):
+        model = amplitude_damping(1.0)
+        with pytest.raises(ModelError) as err:
+            evolve(model, model.rho0, tau, 64)
+        assert "tau" in str(err.value)
+
     def test_rejects_invalid_initial_state(self):
         model = amplitude_damping(1.0)
         with pytest.raises(StateError):
@@ -211,6 +218,32 @@ class TestCatalog:
         with pytest.raises(ModelError):
             spiral(1.0, -2.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: amplitude_damping(float("nan")),
+        lambda: pure_dephasing(float("inf")),
+        lambda: precession(float("nan")),
+        lambda: spiral(float("nan"), 1.0),
+        lambda: spiral(1.0, float("inf")),
+    ])
+    def test_rejects_non_finite_rates(self, build):
+        with pytest.raises(ModelError):
+            build()
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_constructor_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ModelError) as err:
+            LindbladModel(name="bad", dim=2, hamiltonian=np.zeros((2, 2), dtype=complex),
+                          jumps=[(SIGMA_MINUS, rate)])
+        assert "jumps[0]" in str(err.value)
+
+    def test_constructor_rejects_non_finite_operator(self):
+        op = SIGMA_MINUS.copy()
+        op[0, 0] = np.nan
+        with pytest.raises(ModelError) as err:
+            LindbladModel(name="bad", dim=2, hamiltonian=np.zeros((2, 2), dtype=complex),
+                          jumps=[(op, 1.0)])
+        assert "jumps[0]" in str(err.value)
+
 
 class TestModelWireFormat:
     def wire(self, m):
@@ -269,6 +302,15 @@ class TestModelWireFormat:
         with pytest.raises(ModelError) as err:
             model_from_dict(doc)
         assert field in str(err.value)
+
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d["jumps"][0].update(rate=float("nan")), "jumps[0].rate"),
+        (lambda d: d["jumps"][0].update(rate=float("inf")), "jumps[0].rate"),
+        (lambda d: d["jumps"][0].update(matrix=[[float("nan"), 0.0]] * 4), "jumps[0].matrix"),
+        (lambda d: d.update(hamiltonian=[[float("inf"), 0.0]] * 4), "hamiltonian"),
+    ])
+    def test_non_finite_fields_rejected(self, mutate, field):
+        self.test_field_diagnostics(mutate, field)
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

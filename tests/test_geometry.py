@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,13 @@ from qslpath import (
     pure_dephasing,
     qfi_rate,
     qfi_rate_bloch,
+    schatten_norm,
     speed_profile,
     spiral,
 )
 from qslpath.geometry import bloch_velocity
-from conftest import brute_force_length
+from qslpath.states import eigh
+from conftest import brute_force_length, random_density
 
 FROZEN = LindbladModel(name="frozen", dim=2,
                        hamiltonian=np.zeros((2, 2), dtype=complex), jumps=[])
@@ -263,3 +267,121 @@ class TestAverageSpeed:
 def test_bloch_velocity_helper():
     drho = 0.5 * np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -1.0]], dtype=complex)
     assert np.allclose(bloch_velocity(drho), [2.0, 1.0, 1.0])
+
+
+def random_model_trajectory(rng, dim, steps, near_pure=False):
+    """Trajectory of a random dim-``dim`` Lindblad model; ``near_pure``
+    starts from a state with purity about 1 - 2e-6."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    j = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    jumps = [(j / np.sqrt(dim), 0.5)]
+    model = LindbladModel(name="random", dim=dim, hamiltonian=0.5 * (g + g.conj().T),
+                          jumps=jumps)
+    rho0 = random_density(rng, dim)
+    if near_pure:
+        _, v = np.linalg.eigh(rho0)
+        p = np.full(dim, 1e-6 / (dim - 1))
+        p[-1] = 1.0 - 1e-6
+        rho0 = (v * p) @ v.conj().T
+    return evolve(model, rho0, 1.0, steps)
+
+
+def jacobi_reference(states, derivs):
+    """Speeds and Schatten norms point by point through the single-matrix
+    Jacobi helpers, independent of the stacked LAPACK path."""
+    speed, norms = [], []
+    for rho, drho in zip(states, derivs):
+        spec = eigh(rho)
+        p = np.maximum(spec.eigenvalues, 0.0)
+        m = spec.eigenvectors.conj().T @ drho @ spec.eigenvectors
+        denom = p[:, None] + p[None, :]
+        mask = denom > 1e-12
+        speed.append(0.5 * np.sqrt(2.0 * np.sum(np.abs(m[mask]) ** 2 / denom[mask])))
+        norms.append([schatten_norm(drho, which) for which in ("op", "hs", "tr")])
+    return np.array(speed), np.array(norms).T
+
+
+class TestBatchedSpectra:
+    """The stacked LAPACK speeds against a per-point Jacobi reference, and
+    the per-block validation against the single-matrix validators."""
+
+    def assert_matches_reference(self, traj):
+        prof = speed_profile(traj)
+        speed, (op, hs, tr) = jacobi_reference(traj.states, traj.derivatives)
+        np.testing.assert_allclose(prof.speed, speed, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(prof.norm_speed_op, op, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(prof.norm_speed_hs, hs, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(prof.norm_speed_tr, tr, rtol=1e-9, atol=0.0)
+
+    def test_near_pure_starts(self):
+        model = spiral(0.5, 5.0)
+        self.assert_matches_reference(
+            evolve(model, bloch_to_state([1.0 - 1e-6, 0.0, 0.0]), 2.0, 400))
+        model = amplitude_damping(1.0)
+        start = np.diag([1e-8, 1.0 - 1e-8]).astype(complex)
+        self.assert_matches_reference(evolve(model, start, 2.0, 400))
+
+    def test_damping_as_t_goes_to_zero(self):
+        model = amplitude_damping(1.0)
+        self.assert_matches_reference(evolve(model, model.rho0, 1e-3, 64))
+
+    def test_spiral(self):
+        model = spiral(0.5, 5.0)
+        self.assert_matches_reference(evolve(model, model.rho0, 2.0, 600))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_models(self, rng, dim):
+        self.assert_matches_reference(random_model_trajectory(rng, dim, 64))
+        self.assert_matches_reference(random_model_trajectory(rng, dim, 64, near_pure=True))
+
+    def test_spans_several_blocks(self):
+        # 1201 grid points: two full blocks and a partial one
+        model = spiral(0.3, 2.0)
+        traj = evolve(model, model.rho0, 3.0, 1200)
+        prof = speed_profile(traj)
+        expected = 0.5 * np.sqrt(np.array(
+            [qfi_rate(r, d) for r, d in zip(traj.states, traj.derivatives)]))
+        np.testing.assert_allclose(prof.speed, expected, rtol=1e-12, atol=0.0)
+
+    def test_origin_samples_shape(self):
+        model = amplitude_damping(1.0)
+        prof = speed_profile(evolve(model, model.rho0, 1.0, 64))
+        assert prof.origin_cells == 16
+        assert len(prof.origin_times) == 16 * 15
+        assert np.all(np.diff(prof.origin_times) > 0.0)
+
+    @pytest.mark.parametrize("index", [37, 600])
+    @pytest.mark.parametrize("corrupt,words", [
+        (lambda rho: rho + np.array([[0.0, 1e-6], [0.0, 0.0]]), "not Hermitian"),
+        (lambda rho: rho * (1.0 + 1e-8), "trace"),
+        (lambda rho: np.diag([1.0 + 1e-6, -1e-6]).astype(complex), "negative eigenvalue"),
+        (lambda rho: np.where(np.eye(2, dtype=bool), np.nan, rho), "non-finite"),
+    ])
+    def test_corrupted_state_names_grid_index(self, corrupt, words, index):
+        model = spiral(0.5, 5.0)
+        traj = evolve(model, model.rho0, 2.0, 700)
+        states = traj.states.copy()
+        states[index] = corrupt(states[index])
+        with pytest.raises(StateError) as err:
+            speed_profile(dataclasses.replace(traj, states=states))
+        assert f"grid index {index}:" in str(err.value)
+        assert words in str(err.value)
+
+    def test_first_bad_point_wins(self):
+        model = spiral(0.5, 5.0)
+        traj = evolve(model, model.rho0, 2.0, 700)
+        states = traj.states.copy()
+        states[600, 0, 0] = np.nan
+        states[550] *= 1.0 + 1e-8
+        with pytest.raises(StateError) as err:
+            speed_profile(dataclasses.replace(traj, states=states))
+        assert "grid index 550: qfi_rate state: trace" in str(err.value)
+
+    def test_corrupted_derivative_names_grid_index(self):
+        model = spiral(0.5, 5.0)
+        traj = evolve(model, model.rho0, 2.0, 700)
+        derivs = traj.derivatives.copy()
+        derivs[515] += 1e-6 * np.eye(2)
+        with pytest.raises(StateError) as err:
+            speed_profile(dataclasses.replace(traj, derivatives=derivs))
+        assert "grid index 515: qfi_rate derivative has trace" in str(err.value)

@@ -15,6 +15,7 @@ from qslpath import (
     state_to_bloch,
     trace_distance,
 )
+from qslpath.states import _lapack, require_density_matrix
 from conftest import random_density, random_hermitian
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -216,3 +217,25 @@ class TestBloch:
 def test_purity():
     assert purity(KET0) == pytest.approx(1.0)
     assert purity(MIXED) == pytest.approx(0.5)
+
+
+def test_lapack_failure_names_first_failing_matrix():
+    from qslpath import EigensolverError
+
+    def solver(a):
+        if np.any(a[..., 0, 0] == 7.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return np.linalg.eigvalsh(a)
+
+    stack = np.stack([np.eye(2, dtype=complex)] * 6)
+    stack[4, 0, 0] = 7.0
+    with pytest.raises(EigensolverError) as err:
+        _lapack(solver, stack, "grid index", 512)
+    assert "grid index 516:" in str(err.value)
+
+
+def test_validators_reject_non_finite_entries():
+    rho = np.array([[1.0, np.nan], [np.nan, 0.0]], dtype=complex)
+    with pytest.raises(StateError) as err:
+        require_density_matrix(rho)
+    assert "non-finite" in str(err.value)
