@@ -28,18 +28,18 @@ threshold ladder eventually probes nothing but floating-point noise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import evolve
+from .dynamics import MIN_STEPS, _check_run, _checkpoints, _integrate, evolve
 from .errors import FrozenDynamicsError, InconsistencyError, PurityError
 from .geometry import average_speed, grid_index, path_length, speed_profile
 from .states import (
     STACK_BLOCK,
     _density_stack,
-    _lapack,
     _raise_first_fault,
+    _trace_distance_stack,
     bures_angle,
     require_density_matrix,
 )
@@ -214,11 +214,16 @@ class BoundReport:
 
 def build_report(traj, atol=DEFAULT_ATOL):
     """Assemble the :class:`BoundReport` for a trajectory."""
-    profile = speed_profile(traj)
+    return _report(traj.states[0], traj.states[-1], traj.steps, speed_profile(traj), atol)
+
+
+def _report(first, last, steps, profile, atol):
+    """The :class:`BoundReport` of a trajectory of ``steps`` steps from
+    ``first`` to ``last`` with speed profile ``profile``."""
     pl = path_length(profile)
-    bures = bures_angle(traj.states[0], traj.states[-1])
+    bures = bures_angle(first, last)
     total = float(pl.length[-1])
-    tau = float(traj.times[-1])
+    tau = float(profile.times[-1])
     verdict = classify_attainability(bures, total, tol=atol)
     ratio = min(bures / total, 1.0) if total > 0.0 else float("nan")
     t_min = tau_min(pl, bures, tol=atol)
@@ -229,7 +234,7 @@ def build_report(traj, atol=DEFAULT_ATOL):
             dl[which] = deffner_lutz(pl, bures, tau, which)
     return BoundReport(
         tau=tau,
-        steps=traj.steps,
+        steps=steps,
         bures=bures,
         length=total,
         ratio=ratio,
@@ -276,10 +281,7 @@ def _trace_distances(states, rho_f):
         block = states[lo:lo + STACK_BLOCK]
         _, _, faults = _density_stack(block, "state", "grid index", lo)
         _raise_first_fault(faults, "grid index", lo)
-        delta = block - rho_f
-        delta = 0.5 * (delta + delta.conj().swapaxes(1, 2))
-        w = _lapack(np.linalg.eigvalsh, delta, "grid index", lo)
-        distance[lo:lo + len(block)] = 0.5 * np.sum(np.abs(w), axis=1)
+        distance[lo:lo + len(block)] = _trace_distance_stack(block, rho_f, "grid index", lo)
     return distance
 
 
@@ -316,6 +318,27 @@ def stopping_time_curve(traj, rho_f, epsilons):
     )
 
 
+def _horizon_steps(tau, steps_per_unit):
+    """Step count of one :func:`divergence_scan` horizon."""
+    return max(MIN_STEPS, int(round(steps_per_unit * tau)))
+
+
+def _profile_prefix(profile, tau, steps):
+    """The part of ``profile`` over its first ``steps`` cells, on the grid
+    :func:`~qslpath.dynamics.evolve` gives horizon ``tau``.  The origin
+    samples lie in the first 16 cells, inside every prefix, and are kept."""
+    n = steps + 1
+    return replace(
+        profile,
+        times=np.linspace(0.0, tau, n),
+        qfi=profile.qfi[:n],
+        speed=profile.speed[:n],
+        norm_speed_op=profile.norm_speed_op[:n],
+        norm_speed_hs=profile.norm_speed_hs[:n],
+        norm_speed_tr=profile.norm_speed_tr[:n],
+    )
+
+
 def divergence_scan(model, rho0, tau_list, steps_per_unit, atol=DEFAULT_ATOL):
     """One :class:`BoundReport` per horizon in the ascending ``tau_list``.
 
@@ -324,13 +347,31 @@ def divergence_scan(model, rho0, tau_list, steps_per_unit, atol=DEFAULT_ATOL):
     asymptotically this exposes the characteristic split: the norm-speed
     bounds grow without bound with the horizon while ``tau_min``
     stabilizes at a finite (unattainable) value.
+
+    Horizons whose spacing ``tau / steps`` agrees to the last bit share one
+    trajectory, integrated to the longest of them with the positivity
+    checkpoints of each, and one speed profile; each reads its report from
+    the prefix, which equals a separate ``evolve`` and :func:`build_report`
+    bit for bit.  A horizon with another spacing, such as one on the
+    16-step floor, is integrated on its own.
     """
     taus = list(tau_list)
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_list must be strictly ascending")
-    reports = []
+    steps = []
     for tau in taus:
-        steps = max(16, int(round(steps_per_unit * tau)))
-        traj = evolve(model, rho0, tau, steps)
-        reports.append(build_report(traj, atol=atol))
+        steps.append(_horizon_steps(tau, steps_per_unit))
+        rho0 = _check_run(model, rho0, tau, steps[-1])
+    shared = {}
+    for k, (tau, n) in enumerate(zip(taus, steps)):
+        shared.setdefault(tau / n, []).append(k)
+    reports = [None] * len(taus)
+    for group in shared.values():
+        checkpoints = set().union(*(_checkpoints(steps[k]) for k in group))
+        longest = group[-1]
+        traj = _integrate(model, rho0, taus[longest], steps[longest], checkpoints)
+        profile = speed_profile(traj)
+        for k in group:
+            prefix = _profile_prefix(profile, taus[k], steps[k])
+            reports[k] = _report(traj.states[0], traj.states[steps[k]], steps[k], prefix, atol)
     return reports

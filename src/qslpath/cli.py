@@ -19,7 +19,9 @@ models
 Output is deterministic RFC-4180-style CSV with ``.`` decimals, floats at
 17 significant digits (lossless round-trip), and ``#``-prefixed footer
 comments.  Exit codes: 0 success, 1 verify failure, 2 configuration
-error (nothing is written to ``--out``), 3 numerical failure.
+error (nothing is written to ``--out``; this includes a ``--steps`` whose
+trajectory would exceed ``dynamics.MAX_TRAJECTORY_BYTES``), 3 numerical
+failure.
 """
 
 import argparse
@@ -31,9 +33,10 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .bounds import build_report, divergence_scan, stopping_time_curve
+from .bounds import _horizon_steps, build_report, divergence_scan, stopping_time_curve
 from .dynamics import (
     CATALOG_BUILDERS,
+    _require_storage,
     evolve,
     load_model,
     matrix_from_wire,
@@ -224,6 +227,13 @@ def _common_numbers(args):
     return steps, atol
 
 
+def _require_trajectory_fits(model, steps):
+    try:
+        _require_storage(model.dim, steps)
+    except ModelError as exc:
+        raise ConfigError(f"--steps: {exc}") from None
+
+
 def _report_row(model, report):
     verdict = report.verdict
     return ",".join(
@@ -269,6 +279,7 @@ def cmd_run(args):
         _require_horizons(taus, "--tau-list")
     else:
         raise ConfigError("run: pass --tau or --tau-list")
+    _require_trajectory_fits(model, steps)
     lines = [REPORT_HEADER]
     for tau in taus:
         report = build_report(evolve(model, rho0, tau, steps), atol=atol)
@@ -284,6 +295,7 @@ def cmd_epsilon_sweep(args):
     if args.tau is None:
         raise ConfigError("epsilon-sweep: pass --tau (the horizon)")
     _require_horizons([args.tau], "--tau")
+    _require_trajectory_fits(model, steps)
     if args.eps_list is not None:
         eps = _parse_float_list(args.eps_list, "--eps-list")
     else:
@@ -314,6 +326,7 @@ def cmd_divergence_scan(args):
     _require_horizons(taus, "--tau-list")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("--tau-list: horizons must be strictly ascending")
+    _require_trajectory_fits(model, _horizon_steps(taus[-1], steps))
     reports = divergence_scan(model, rho0, taus, steps, atol=atol)
     lines = [REPORT_HEADER]
     for report in reports:

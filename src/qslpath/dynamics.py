@@ -69,6 +69,11 @@ log = logging.getLogger(__name__)
 MIN_STEPS = 16
 RENORM_WARN = 1e-6
 POSITIVITY_FAIL = 1e-6
+# Largest trajectory :func:`evolve` will store, in bytes: its states and
+# derivatives take 32 * (steps + 1) * dim**2 (two complex128 arrays), all
+# allocated up front.  1 GiB allows about 8.4 million steps at dim 2 and
+# 524 thousand at dim 8.
+MAX_TRAJECTORY_BYTES = 2**30
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 PLUS_STATE = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -197,28 +202,47 @@ def _check_positivity(rho, step):
         )
 
 
-def evolve(model, rho0, tau, steps, renormalize=True):
-    """Integrate ``model`` from ``rho0`` over ``[0, tau]`` with ``steps``
-    RK4 steps, returning a :class:`Trajectory`.
+def _require_storage(dim, steps):
+    """Reject a step count whose trajectory would exceed
+    :data:`MAX_TRAJECTORY_BYTES`, before anything is allocated."""
+    nbytes = 32 * (steps + 1) * dim * dim
+    if nbytes > MAX_TRAJECTORY_BYTES:
+        raise ModelError(
+            f"steps = {steps} at dimension {dim} would store {nbytes} bytes of "
+            f"trajectory, over the {MAX_TRAJECTORY_BYTES}-byte limit"
+        )
 
-    Each accepted state is re-symmetrized and (by default) trace-
-    renormalized; the renormalization factor is logged if it ever drifts
-    past 1e-6.  Positivity is checked at up to 64 checkpoints and at the
-    final state; a violation raises :class:`IntegrationError` carrying the
-    step index.  ``renormalize=False`` exposes the raw integrator for
-    drift measurements.
-    """
+
+def _check_run(model, rho0, tau, steps):
+    """The input checks of :func:`evolve`; returns the validated ``rho0``."""
     if not (math.isfinite(tau) and tau > 0):
         raise ModelError(f"horizon tau must be positive and finite, got {tau}")
     if steps < MIN_STEPS:
         raise ModelError(f"steps must be at least {MIN_STEPS}, got {steps}")
+    _require_storage(model.dim, steps)
     rho0 = require_density_matrix(rho0, name="initial state")
     if rho0.shape != (model.dim, model.dim):
         raise StateError(
             f"initial state dimension {rho0.shape[0]} does not match model "
             f"dimension {model.dim}"
         )
+    return rho0
 
+
+def _checkpoints(steps):
+    """The steps at which :func:`evolve` checks positivity: every
+    ``steps // 64``-th (at most 64) and the last."""
+    every = max(1, steps // 64)
+    return set(range(every, steps + 1, every)) | {steps}
+
+
+def _integrate(model, rho0, tau, steps, checkpoints, renormalize=True):
+    """The RK4 loop of :func:`evolve` on inputs :func:`_check_run` has
+    passed, checking positivity after each step in ``checkpoints``.
+
+    The states depend on ``tau`` only through the step ``tau / steps``, so
+    runs with the same step agree bit for bit on their common prefix.
+    """
     h = tau / steps
     n = model.dim
     times = np.linspace(0.0, tau, steps + 1)
@@ -226,7 +250,6 @@ def evolve(model, rho0, tau, steps, renormalize=True):
     derivs = np.empty((steps + 1, n, n), dtype=complex)
 
     rhs = _gksl_rhs(model)
-    check_every = max(1, steps // 64)
     max_renorm = 0.0
     rho = rho0.copy()
     states[0] = rho
@@ -253,9 +276,8 @@ def evolve(model, rho0, tau, steps, renormalize=True):
             rho = rho / tr
         states[i + 1] = rho
         derivs[i + 1] = rhs(rho)
-        if (i + 1) % check_every == 0:
+        if i + 1 in checkpoints:
             _check_positivity(rho, i + 1)
-    _check_positivity(rho, steps)
     return Trajectory(
         model=model,
         tau=float(tau),
@@ -265,6 +287,23 @@ def evolve(model, rho0, tau, steps, renormalize=True):
         derivatives=derivs,
         max_renormalization=max_renorm,
     )
+
+
+def evolve(model, rho0, tau, steps, renormalize=True):
+    """Integrate ``model`` from ``rho0`` over ``[0, tau]`` with ``steps``
+    RK4 steps, returning a :class:`Trajectory`.
+
+    Each accepted state is re-symmetrized and (by default) trace-
+    renormalized; the renormalization factor is logged if it ever drifts
+    past 1e-6.  Positivity is checked at up to 64 checkpoints and at the
+    final state; a violation raises :class:`IntegrationError` carrying the
+    step index.  ``renormalize=False`` exposes the raw integrator for
+    drift measurements.  A trajectory that would store more than
+    :data:`MAX_TRAJECTORY_BYTES` raises :class:`ModelError` before any
+    allocation.
+    """
+    rho0 = _check_run(model, rho0, tau, steps)
+    return _integrate(model, rho0, tau, steps, _checkpoints(steps), renormalize)
 
 
 def stationary_state(model, checkpoint_budget=10_000):

@@ -7,13 +7,17 @@ rather than silently repairing bad input; the one sanctioned repair is
 clamping eigenvalues in ``(-PSD_TOL, 0)`` to zero, since fixed-step
 integration routinely produces harmless tiny negatives.
 
-The single-matrix helpers (:func:`eigh`, :func:`eigh_values`, the
-metrics) use a cyclic Jacobi iteration for complex Hermitian matrices.  At
-these dimensions it is robust, dependency-free, and exact in one sweep for
-qubits; tests cross-check it against ``numpy.linalg``.  Trajectory-wide
-spectra go through LAPACK (``numpy.linalg.eigh``/``eigvalsh``) over
-``(N, d, d)`` stacks of at most :data:`STACK_BLOCK` matrices, validated by
-the same checks, tolerances and messages as the single-matrix validators.
+The single-matrix helpers (:func:`eigh`, :func:`eigh_values`,
+:func:`fidelity`, :func:`matrix_sqrt`, :func:`schatten_norm`) use a cyclic
+Jacobi iteration for complex Hermitian matrices.  At these dimensions it is
+robust, dependency-free, and exact in one sweep for qubits; tests
+cross-check it against ``numpy.linalg``.  Trajectory-wide spectra go
+through LAPACK (``numpy.linalg.eigh``/``eigvalsh``) over ``(N, d, d)``
+stacks of at most :data:`STACK_BLOCK` matrices, validated by the same
+checks, tolerances and messages as the single-matrix validators.
+:func:`trace_distance` takes the stacked LAPACK path on a stack of one,
+because Jacobi skips off-diagonal entries below its 1e-13 threshold and
+would read distances under that as exactly zero.
 """
 
 import numpy as np
@@ -306,14 +310,20 @@ def bures_angle(rho, sigma):
     return float(np.arccos(fidelity(rho, sigma)))
 
 
+def _trace_distance_stack(rho, sigma, label=None, first=0):
+    """Trace distance of each matrix of an ``(N, d, d)`` stack to
+    ``sigma``, from one LAPACK call; no validation."""
+    delta = rho - sigma
+    delta = 0.5 * (delta + delta.conj().swapaxes(1, 2))
+    w = _lapack(np.linalg.eigvalsh, delta, label, first)
+    return 0.5 * np.sum(np.abs(w), axis=1)
+
+
 def trace_distance(rho, sigma):
     """Trace distance 0.5 * sum |eigenvalues(rho - sigma)| in [0, 1]."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    delta = rho - sigma
-    delta = 0.5 * (delta + delta.conj().T)
-    w = eigh_values(delta)
-    return float(0.5 * np.sum(np.abs(w)))
+    return float(_trace_distance_stack(rho[None], sigma)[0])
 
 
 def _norms_from_eigenvalues(w):

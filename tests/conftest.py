@@ -1,10 +1,34 @@
+import math
+
 import numpy as np
 import pytest
+
+LARGE_ARRAY = 10**7
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)
+
+
+@pytest.fixture
+def forbid_large_arrays(monkeypatch):
+    """Make ``numpy.linspace`` and ``numpy.empty`` refuse arrays of more
+    than 10**7 elements, so a test of an oversized request fails where the
+    code under test would otherwise allocate it."""
+
+    def guard(make, count):
+        def guarded(*args, **kwargs):
+            n = count(*args, **kwargs)
+            if n > LARGE_ARRAY:
+                raise AssertionError(f"numpy.{make.__name__} asked for {n} elements")
+            return make(*args, **kwargs)
+
+        return guarded
+
+    monkeypatch.setattr(np, "linspace", guard(np.linspace, lambda start, stop, num=50, *a, **k: num))
+    monkeypatch.setattr(np, "empty", guard(
+        np.empty, lambda shape, *a, **k: shape if isinstance(shape, int) else math.prod(shape)))
 
 
 def random_density(rng, dim, min_eigenvalue=0.0):

@@ -6,12 +6,15 @@ import pytest
 from qslpath import (
     FrozenDynamicsError,
     InconsistencyError,
+    IntegrationError,
     LindbladModel,
+    ModelError,
     PurityError,
     StateError,
     amplitude_damping,
     bloch_to_state,
     build_report,
+    catalog,
     classify_attainability,
     deffner_lutz,
     divergence_scan,
@@ -29,8 +32,9 @@ from qslpath import (
     tau_min,
     trace_distance,
 )
+from qslpath import bounds, dynamics
 from qslpath.bounds import _trace_distances
-from conftest import random_density, random_trajectory
+from conftest import random_density, random_hermitian, random_trajectory
 
 FROZEN = LindbladModel(name="frozen", dim=2,
                        hamiltonian=np.zeros((2, 2), dtype=complex), jumps=[])
@@ -285,6 +289,130 @@ class TestDivergenceScan:
         model = spiral(0.5, 5.0)
         with pytest.raises(ValueError):
             divergence_scan(model, model.rho0, [4.0, 2.0], 500)
+
+
+def separate_reports(model, rho0, taus, steps_per_unit):
+    """One integration and one report per horizon, the reference the scan
+    must match bit for bit."""
+    return [
+        build_report(evolve(model, rho0, tau, max(16, int(round(steps_per_unit * tau)))))
+        for tau in taus
+    ]
+
+
+def report_values(report):
+    values = dataclasses.astuple(report)
+    return np.array(values[:-1] + values[-1], dtype=float)
+
+
+def assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.steps == b.steps
+        # every field exactly equal; NaN (norm bounds of mixed starts) matches NaN
+        np.testing.assert_array_equal(report_values(a), report_values(b))
+
+
+def random_model(rng, dim):
+    jumps = [
+        ((rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(dim),
+         float(rng.uniform(0.1, 1.0)))
+        for _ in range(2)
+    ]
+    return LindbladModel(name="random", dim=dim,
+                         hamiltonian=random_hermitian(rng, dim), jumps=jumps)
+
+
+def random_pure(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+class TestScanIntegratesOnce:
+    @pytest.mark.parametrize("model", catalog(0.5, 5.0), ids=lambda m: m.name)
+    def test_catalog_matches_separate_integration(self, model):
+        taus = [2.0, 4.0, 8.0, 16.0]
+        assert_same_reports(divergence_scan(model, model.rho0, taus, 500),
+                            separate_reports(model, model.rho0, taus, 500))
+
+    @pytest.mark.parametrize("taus,steps_per_unit", [
+        ([0.01, 0.05, 2.0], 500),   # the first horizon sits on the 16-step floor
+        ([0.3, 0.7, 1.1], 333),     # spacings that differ in the last bits
+    ], ids=["step-floor", "off-grid"])
+    def test_fallback_horizons_match_separate_integration(self, taus, steps_per_unit):
+        model = spiral(0.5, 5.0)
+        assert_same_reports(divergence_scan(model, model.rho0, taus, steps_per_unit),
+                            separate_reports(model, model.rho0, taus, steps_per_unit))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("start", ["pure", "mixed"])
+    def test_random_models_match_separate_integration(self, dim, start):
+        rng = np.random.default_rng(100 * dim + (start == "pure"))
+        model = random_model(rng, dim)
+        rho0 = random_pure(rng, dim) if start == "pure" else random_density(rng, dim)
+        taus = [0.25, 0.5, 0.75]
+        assert_same_reports(divergence_scan(model, rho0, taus, 200),
+                            separate_reports(model, rho0, taus, 200))
+
+    def count_integrations(self, monkeypatch):
+        calls = []
+
+        def counted(real):
+            def call(model, rho0, tau, steps, *args, **kwargs):
+                calls.append(steps)
+                return real(model, rho0, tau, steps, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(bounds, "_integrate", counted(bounds._integrate))
+        monkeypatch.setattr(bounds, "evolve", counted(bounds.evolve))
+        return calls
+
+    def test_shared_scan_integrates_once(self, monkeypatch):
+        calls = self.count_integrations(monkeypatch)
+        model = spiral(0.5, 5.0)
+        divergence_scan(model, model.rho0, [1.0, 2.0, 4.0], 500)
+        assert calls == [2000]
+
+    def test_one_integration_per_grid_spacing(self, monkeypatch):
+        calls = self.count_integrations(monkeypatch)
+        model = spiral(0.5, 5.0)
+        taus = [0.01, 0.05, 0.1, 2.0]
+        steps = [max(16, int(round(500 * tau))) for tau in taus]
+        divergence_scan(model, model.rho0, taus, 500)
+        assert len(calls) == len({tau / n for tau, n in zip(taus, steps)}) > 1
+
+    def test_positivity_checked_at_every_horizons_checkpoints(self, monkeypatch):
+        seen = []
+        real = dynamics._check_positivity
+
+        def record(rho, step):
+            seen.append(step)
+            real(rho, step)
+
+        monkeypatch.setattr(dynamics, "_check_positivity", record)
+        model = spiral(0.5, 5.0)
+        taus = [1.0, 1.5, 3.0]
+        separate = set()
+        for tau in taus:
+            evolve(model, model.rho0, tau, int(500 * tau))
+            separate |= set(seen)
+            seen.clear()
+        divergence_scan(model, model.rho0, taus, 500)
+        assert sorted(seen) == sorted(separate)
+
+    def test_positivity_loss_raises(self):
+        model = amplitude_damping(5000.0)
+        with pytest.raises(IntegrationError):
+            divergence_scan(model, model.rho0, [1.0, 2.0], 16)
+
+    def test_storage_cap_uses_largest_horizon(self, monkeypatch, forbid_large_arrays):
+        calls = self.count_integrations(monkeypatch)
+        model = spiral(0.5, 5.0)
+        with pytest.raises(ModelError) as err:
+            divergence_scan(model, model.rho0, [1.0, 2e6], 500)
+        assert "steps = 1000000000" in str(err.value)
+        assert calls == []
 
 
 class TestBoundReport:

@@ -224,6 +224,16 @@ class TestConfigErrors:
         assert code == 3
         assert "step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--model", "spiral", "--tau", "1", "--steps", "1000000000"),
+        ("epsilon-sweep", "--model", "spiral", "--tau", "1", "--steps", "1000000000"),
+        # only the largest horizon's 10**9 steps pass the cap
+        ("divergence-scan", "--model", "spiral", "--tau-list", "1,2000000", "--steps", "500"),
+    ], ids=["run", "epsilon-sweep", "divergence-scan"])
+    def test_oversized_trajectory_rejected(self, argv, capsys, forbid_large_arrays):
+        assert run_cli(*argv) == 2
+        assert "--steps" in capsys.readouterr().err
+
 
 class TestEpsilonSweep:
     def test_dephasing_slope(self, tmp_path):
@@ -286,6 +296,14 @@ class TestDivergenceScan:
         assert code == 0
         _, rows, _ = read_csv(out)
         assert len(rows) == 1
+
+    def test_unstable_scan_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "boom.csv"
+        code = run_cli("divergence-scan", "--model", "amplitude-damping", "--gamma", "5000",
+                       "--tau-list", "1,2", "--steps", "16", "--out", str(out))
+        assert code == 3
+        assert "step" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unsorted_rejected(self):
         assert run_cli("divergence-scan", "--model", "spiral",

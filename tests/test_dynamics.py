@@ -22,7 +22,13 @@ from qslpath import (
     stationary_state,
     trace_distance,
 )
-from qslpath.dynamics import EXCITED_STATE, PLUS_STATE, SIGMA_MINUS
+from qslpath.dynamics import (
+    EXCITED_STATE,
+    MAX_TRAJECTORY_BYTES,
+    PLUS_STATE,
+    SIGMA_MINUS,
+    _require_storage,
+)
 from conftest import random_density
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -151,6 +157,22 @@ class TestEvolve:
         with pytest.raises(ModelError) as err:
             evolve(model, model.rho0, tau, 64)
         assert "tau" in str(err.value)
+
+    def test_storage_cap_rejects_before_allocating(self, forbid_large_arrays):
+        model = LindbladModel(name="dim8", dim=8,
+                              hamiltonian=np.zeros((8, 8), dtype=complex), jumps=[])
+        with pytest.raises(ModelError) as err:
+            evolve(model, np.eye(8, dtype=complex) / 8, 1.0, 10**9)
+        message = str(err.value)
+        assert "steps = 1000000000" in message
+        assert str(32 * (10**9 + 1) * 64) in message
+
+    def test_storage_cap_boundary(self):
+        assert MAX_TRAJECTORY_BYTES == 2**30
+        most = MAX_TRAJECTORY_BYTES // (32 * 64) - 1
+        _require_storage(8, most)
+        with pytest.raises(ModelError):
+            _require_storage(8, most + 1)
 
     def test_rejects_invalid_initial_state(self):
         model = amplitude_damping(1.0)

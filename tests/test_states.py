@@ -156,6 +156,15 @@ class TestTraceDistance:
             assert 1.0 - f <= d + 1e-9
             assert d <= np.sqrt(max(0.0, 1.0 - f * f)) + 1e-9
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_tiny_distance_along_each_axis(self, axis):
+        # D(rho, I/2) = |r| / 2 for a qubit with Bloch vector r, up to the
+        # rounding of 1 + z on the diagonal; an off-diagonal entry of 2e-14
+        # must not read as zero
+        r = np.zeros(3)
+        r[axis] = 4e-14
+        assert trace_distance(bloch_to_state(r), MIXED) == pytest.approx(2e-14, rel=1e-2, abs=0.0)
+
 
 class TestSchattenNorm:
     def test_zero(self):
