@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import MIN_STEPS, _check_run, _checkpoints, _integrate, evolve
-from .errors import FrozenDynamicsError, InconsistencyError, PurityError
+from .errors import FrozenDynamicsError, InconsistencyError, ModelError, PurityError
 from .geometry import average_speed, grid_index, path_length, speed_profile
 from .states import (
     STACK_BLOCK,
@@ -319,14 +319,21 @@ def stopping_time_curve(traj, rho_f, epsilons):
 
 
 def _horizon_steps(tau, steps_per_unit):
-    """Step count of one :func:`divergence_scan` horizon."""
-    return max(MIN_STEPS, int(round(steps_per_unit * tau)))
+    """Step count of one :func:`divergence_scan` horizon; a count too large
+    for a float raises :class:`ModelError`."""
+    try:
+        return max(MIN_STEPS, int(round(steps_per_unit * tau)))
+    except OverflowError:
+        raise ModelError(
+            f"steps per unit time times the horizon {tau} overflows a float"
+        ) from None
 
 
 def _profile_prefix(profile, tau, steps):
     """The part of ``profile`` over its first ``steps`` cells, on the grid
-    :func:`~qslpath.dynamics.evolve` gives horizon ``tau``.  The origin
-    samples lie in the first 16 cells, inside every prefix, and are kept."""
+    :func:`~qslpath.dynamics.evolve` gives horizon ``tau``.  Only the grid
+    arrays are sliced: the origin samples lie in the first ``ORIGIN_CELLS``
+    cells, inside every prefix of at least ``MIN_STEPS`` cells."""
     n = steps + 1
     return replace(
         profile,

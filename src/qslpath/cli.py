@@ -33,9 +33,16 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .bounds import _horizon_steps, build_report, divergence_scan, stopping_time_curve
+from .bounds import (
+    DEFAULT_ATOL,
+    _horizon_steps,
+    build_report,
+    divergence_scan,
+    stopping_time_curve,
+)
 from .dynamics import (
     CATALOG_BUILDERS,
+    MIN_STEPS,
     _require_storage,
     evolve,
     load_model,
@@ -219,9 +226,9 @@ def _resolve_init(args, model):
 def _common_numbers(args):
     steps_default = {"run": 4000, "epsilon-sweep": 20000, "divergence-scan": 500}
     steps = args.steps if args.steps is not None else steps_default[args.command]
-    if steps < 16:
-        raise ConfigError(f"--steps: must be at least 16, got {steps}")
-    atol = 1e-3 if args.atol_attainable is None else args.atol_attainable
+    if steps < MIN_STEPS:
+        raise ConfigError(f"--steps: must be at least {MIN_STEPS}, got {steps}")
+    atol = DEFAULT_ATOL if args.atol_attainable is None else args.atol_attainable
     if not (math.isfinite(atol) and atol > 0):
         raise ConfigError("--atol-attainable: must be positive and finite")
     return steps, atol
@@ -326,7 +333,10 @@ def cmd_divergence_scan(args):
     _require_horizons(taus, "--tau-list")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ConfigError("--tau-list: horizons must be strictly ascending")
-    _require_trajectory_fits(model, _horizon_steps(taus[-1], steps))
+    try:
+        _require_storage(model.dim, _horizon_steps(taus[-1], steps))
+    except ModelError as exc:
+        raise ConfigError(f"--steps: {exc}") from None
     reports = divergence_scan(model, rho0, taus, steps, atol=atol)
     lines = [REPORT_HEADER]
     for report in reports:

@@ -236,6 +236,20 @@ def _checkpoints(steps):
     return set(range(every, steps + 1, every)) | {steps}
 
 
+def _rk4_step(rhs, rho, k1, h):
+    """One classical RK4 step of size ``h`` from ``rho``, whose derivative
+    ``k1`` the caller already has, followed by Hermitian symmetrization.
+
+    ``rho`` is one ``(d, d)`` state with a scalar ``h``, or an
+    ``(N, d, d)`` stack with per-state steps ``h`` of shape ``(N, 1, 1)``.
+    """
+    k2 = rhs(rho + (0.5 * h) * k1)
+    k3 = rhs(rho + (0.5 * h) * k2)
+    k4 = rhs(rho + h * k3)
+    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+
+
 def _integrate(model, rho0, tau, steps, checkpoints, renormalize=True):
     """The RK4 loop of :func:`evolve` on inputs :func:`_check_run` has
     passed, checking positivity after each step in ``checkpoints``.
@@ -255,12 +269,7 @@ def _integrate(model, rho0, tau, steps, checkpoints, renormalize=True):
     states[0] = rho
     derivs[0] = rhs(rho)
     for i in range(steps):
-        k1 = derivs[i]
-        k2 = rhs(rho + (0.5 * h) * k1)
-        k3 = rhs(rho + (0.5 * h) * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = _rk4_step(rhs, rho, derivs[i], h)
         tr = rho.trace().real
         if not np.isfinite(tr):
             raise IntegrationError(f"state diverged at step {i + 1}", step=i + 1)

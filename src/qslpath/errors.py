@@ -21,7 +21,8 @@ class ModelError(QslError):
 
 
 class EigensolverError(QslError):
-    """The Jacobi eigensolver failed to converge within its sweep budget."""
+    """An eigensolver failed: the Jacobi solver exhausted its sweep budget
+    (``residual`` set), or LAPACK raised ``LinAlgError`` on a stack."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

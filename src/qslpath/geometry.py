@@ -30,9 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _gksl_rhs
-from .errors import StateError
+from .dynamics import _gksl_rhs, _rk4_step
+from .errors import FrozenDynamicsError, StateError
 from .states import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     STACK_BLOCK,
     TRACE_TOL,
     _density_stack,
@@ -156,17 +159,19 @@ ORIGIN_SUBSTEPS = 16
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Per-grid-point speeds along a trajectory.
+    """Per-grid-point speeds along a trajectory, plus refined samples near
+    the origin.
 
     ``qfi`` is the Fisher-information rate, ``speed`` = sqrt(qfi)/2 its
     Bures speed, and ``norm_speed_{op,hs,tr}`` the Schatten norms of the
     generator derivative.  ``initial_purity`` is Tr(rho_0^2), recorded so
     bound formulas restricted to pure starts can enforce their domain.
 
-    ``origin_times`` and friends hold extra speed samples inside the first
-    few grid cells (sub-nodes uniform in sqrt(t)), where a near-singular
-    speed can vary on scales the main grid cannot resolve; the quadrature
-    consumes them when present.  ``origin_cells`` counts the refined cells.
+    ``origin_times`` holds the ``ORIGIN_SUBSTEPS - 1`` sub-nodes (uniform in
+    sqrt(t)) strictly inside each of the first ``ORIGIN_CELLS`` grid cells,
+    cell by cell, where a near-singular speed can vary on scales the grid
+    cannot resolve.  ``origin_samples`` is the ``(4, M)`` array of the
+    speed and the op, hs and tr norm speeds at those times, in that order.
     """
 
     times: np.ndarray
@@ -176,17 +181,14 @@ class SpeedProfile:
     norm_speed_hs: np.ndarray
     norm_speed_tr: np.ndarray
     initial_purity: float
-    origin_cells: int = 0
-    origin_times: np.ndarray = None
-    origin_speed: np.ndarray = None
-    origin_norm_op: np.ndarray = None
-    origin_norm_hs: np.ndarray = None
-    origin_norm_tr: np.ndarray = None
+    origin_times: np.ndarray
+    origin_samples: np.ndarray
 
 
-def _refined_origin(traj, cells, substeps):
-    """Speed samples at sqrt(t)-uniform sub-nodes inside the first
-    ``cells`` grid cells, excluding the grid nodes themselves.
+def _refined_origin(traj, cells):
+    """Times and ``(4, M)`` speed samples (see :class:`SpeedProfile`) at the
+    sqrt(t)-uniform sub-nodes inside the first ``cells`` grid cells,
+    excluding the grid nodes themselves.
 
     States at sub-nodes are reached by short RK4 steps restarted from the
     stored grid state of each cell, so the samples stay consistent with
@@ -195,42 +197,33 @@ def _refined_origin(traj, cells, substeps):
     """
     rhs = _gksl_rhs(traj.model)
     s_nodes = np.sqrt(traj.times[: cells + 1])
-    sub_s = np.linspace(s_nodes[:-1], s_nodes[1:], substeps + 1, axis=1)
+    sub_s = np.linspace(s_nodes[:-1], s_nodes[1:], ORIGIN_SUBSTEPS + 1, axis=1)
     sub_t = sub_s * sub_s
     rho = traj.states[:cells].copy()
     t_now = traj.times[:cells]
-    sub_states = np.empty((cells, substeps - 1) + rho.shape[1:], dtype=complex)
-    for j in range(1, substeps):
+    sub_states = np.empty((cells, ORIGIN_SUBSTEPS - 1) + rho.shape[1:], dtype=complex)
+    for j in range(1, ORIGIN_SUBSTEPS):
         t_next = sub_t[:, j]
-        dt = (t_next - t_now)[:, None, None]
-        k1 = rhs(rho)
-        k2 = rhs(rho + (0.5 * dt) * k1)
-        k3 = rhs(rho + (0.5 * dt) * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+        rho = _rk4_step(rhs, rho, rhs(rho), (t_next - t_now)[:, None, None])
         rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
         t_now = t_next
         sub_states[:, j - 1] = rho
     states = sub_states.reshape((-1,) + rho.shape[1:])
-    qfi, (nop, nhs, ntr) = _speed_samples(states, rhs(states), "origin sample")
-    return sub_t[:, 1:-1].reshape(-1), 0.5 * np.sqrt(qfi), nop, nhs, ntr
+    qfi, norms = _speed_samples(states, rhs(states), "origin sample")
+    return sub_t[:, 1:-1].reshape(-1), np.vstack([0.5 * np.sqrt(qfi), norms])
 
 
-def speed_profile(traj, origin_cells=ORIGIN_CELLS, origin_substeps=ORIGIN_SUBSTEPS):
+def speed_profile(traj):
     """Evaluate Fisher-information and Schatten-norm speeds at every grid
-    point of a trajectory, plus refined samples near the origin.
+    point of a trajectory, plus the refined samples at sub-nodes of its
+    first ``ORIGIN_CELLS`` cells (fewer if the grid is shorter).
 
     An invalid state or derivative raises :class:`StateError` naming its
-    grid index."""
-    n = len(traj.times)
+    grid index (``origin sample k`` for a sub-node)."""
     qfi, (op, hs, tr) = _speed_samples(traj.states, traj.derivatives, "grid index")
-    cells = min(origin_cells, n - 1)
-    if cells > 0 and origin_substeps > 1:
-        o_times, o_speed, o_op, o_hs, o_tr = _refined_origin(traj, cells, origin_substeps)
-    else:
-        cells = 0
-        o_times = o_speed = o_op = o_hs = o_tr = None
+    origin_times, origin_samples = _refined_origin(
+        traj, min(ORIGIN_CELLS, len(traj.times) - 1)
+    )
     return SpeedProfile(
         times=traj.times,
         qfi=qfi,
@@ -239,50 +232,48 @@ def speed_profile(traj, origin_cells=ORIGIN_CELLS, origin_substeps=ORIGIN_SUBSTE
         norm_speed_hs=hs,
         norm_speed_tr=tr,
         initial_purity=purity(traj.states[0]),
-        origin_cells=cells,
-        origin_times=o_times,
-        origin_speed=o_speed,
-        origin_norm_op=o_op,
-        origin_norm_hs=o_hs,
-        origin_norm_tr=o_tr,
+        origin_times=origin_times,
+        origin_samples=origin_samples,
     )
 
 
 def cumulative_path_integral(times, values):
-    """Cumulative integral of ``values`` over the uniform grid ``times``
-    via the trapezoid rule in s = sqrt(t), with a quadratic first cell.
+    """Cumulative integral of ``values`` over the grid ``times`` via the
+    trapezoid rule in s = sqrt(t), with a quadratic first cell.
 
-    ``values[0]`` is never used (it may encode a support-change artifact
-    or a genuine endpoint singularity); the first cell integrates the
-    parabola through the first three interior s-nodes.  Increments are
-    clamped at zero, so the result is exactly nondecreasing.
+    ``values`` is one series or a stack of them along its last axis, each
+    integrated on its own.  ``values[..., 0]`` is never used (it may encode
+    a support-change artifact or a genuine endpoint singularity); the first
+    cell integrates the parabola through the first three interior s-nodes.
+    Increments are clamped at zero, so the result is exactly nondecreasing.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(times) < 4:
         raise ValueError("need at least 4 grid points for the path quadrature")
-    if not np.all(np.isfinite(values[1:])):
-        bad = int(np.flatnonzero(~np.isfinite(values[1:]))[0] + 1)
+    interior = np.isfinite(values[..., 1:])
+    if not np.all(interior):
+        bad = int(np.argwhere(~interior)[0][-1] + 1)
         raise StateError(f"non-finite speed at interior grid index {bad}")
     s = np.sqrt(times)
     g = 2.0 * s * values
-    increments = np.empty(len(times) - 1)
-    increments[1:] = np.diff(s)[1:] * (g[1:-1] + g[2:]) / 2.0
+    increments = np.empty(values.shape[:-1] + (len(times) - 1,))
+    increments[..., 1:] = np.diff(s)[1:] * (g[..., 1:-1] + g[..., 2:]) / 2.0
     s1, s2, s3 = s[1], s[2], s[3]
 
     def quad_weight(a, b, c):
         # integral over [0, s1] of the Lagrange basis ((s-b)(s-c)) / ((a-b)(a-c))
         return (s1**3 / 3.0 - (b + c) * s1**2 / 2.0 + b * c * s1) / ((a - b) * (a - c))
 
-    increments[0] = (
-        g[1] * quad_weight(s1, s2, s3)
-        + g[2] * quad_weight(s2, s1, s3)
-        + g[3] * quad_weight(s3, s1, s2)
+    increments[..., 0] = (
+        g[..., 1] * quad_weight(s1, s2, s3)
+        + g[..., 2] * quad_weight(s2, s1, s3)
+        + g[..., 3] * quad_weight(s3, s1, s2)
     )
     np.maximum(increments, 0.0, out=increments)
-    out = np.empty(len(times))
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -309,58 +300,35 @@ class PathLength:
             raise ValueError(f"unknown norm {which!r}; use 'op', 'hs' or 'tr'") from None
 
 
-def _interleave(profile, values, origin_values):
-    """Merge grid values with refined origin samples into one ascending
-    grid; returns (times, values, indices of the original grid nodes)."""
-    cells = profile.origin_cells
-    n = len(profile.times)
-    if cells == 0 or origin_values is None:
-        return profile.times, values, np.arange(n)
-    per_cell = len(origin_values) // cells + 1
-    times = [profile.times[:1]]
-    merged = [values[:1]]
-    for i in range(cells):
-        lo = i * (per_cell - 1)
-        hi = lo + per_cell - 1
-        times.append(profile.origin_times[lo:hi])
-        merged.append(origin_values[lo:hi])
-        times.append(profile.times[i + 1 : i + 2])
-        merged.append(values[i + 1 : i + 2])
-    times.append(profile.times[cells + 1 :])
-    merged.append(values[cells + 1 :])
-    times = np.concatenate(times)
-    merged = np.concatenate(merged)
-    node_index = np.empty(n, dtype=int)
-    node_index[: cells + 1] = np.arange(cells + 1) * per_cell
-    node_index[cells + 1 :] = cells * per_cell + np.arange(1, n - cells)
-    return times, merged, node_index
-
-
-def _cumulative_on_grid(profile, values, origin_values):
-    times, merged, node_index = _interleave(profile, values, origin_values)
-    return cumulative_path_integral(times, merged)[node_index]
-
-
 def path_length(profile):
     """Integrate a :class:`SpeedProfile` into a :class:`PathLength`.
 
-    The Bures length and the three norm-speed integrals share the same
-    quadrature rule so the bound family is internally consistent; refined
-    origin samples, when the profile carries them, sharpen the table
-    inside the first few cells.
+    The grid and origin samples are merged into one ascending grid, on
+    which the Bures speed and the three norm speeds are integrated in one
+    pass, so the bound family is internally consistent; the origin samples
+    sharpen the table inside the first few cells.  Grid node ``k`` sits at
+    merged index ``k + (ORIGIN_SUBSTEPS - 1) * min(k, ORIGIN_CELLS)``.
     """
+    k = np.arange(len(profile.times))
+    node = k + (ORIGIN_SUBSTEPS - 1) * np.minimum(k, ORIGIN_CELLS)
+    merged = np.empty((5, len(k) + len(profile.origin_times)))
+    merged[:, node] = [
+        profile.times,
+        profile.speed,
+        profile.norm_speed_op,
+        profile.norm_speed_hs,
+        profile.norm_speed_tr,
+    ]
+    merged[:, np.delete(np.arange(merged.shape[1]), node)] = np.vstack(
+        [profile.origin_times, profile.origin_samples]
+    )
+    length, op, hs, tr = cumulative_path_integral(merged[0], merged[1:])[:, node]
     return PathLength(
         times=profile.times,
-        length=_cumulative_on_grid(profile, profile.speed, profile.origin_speed),
-        norm_integral_op=_cumulative_on_grid(
-            profile, profile.norm_speed_op, profile.origin_norm_op
-        ),
-        norm_integral_hs=_cumulative_on_grid(
-            profile, profile.norm_speed_hs, profile.origin_norm_hs
-        ),
-        norm_integral_tr=_cumulative_on_grid(
-            profile, profile.norm_speed_tr, profile.origin_norm_tr
-        ),
+        length=length,
+        norm_integral_op=op,
+        norm_integral_hs=hs,
+        norm_integral_tr=tr,
         initial_purity=profile.initial_purity,
     )
 
@@ -379,8 +347,6 @@ def average_speed(pl, tau):
 
     ``tau`` must lie on the grid and be positive.
     """
-    from .errors import FrozenDynamicsError
-
     if tau <= 0.0:
         raise FrozenDynamicsError("average speed undefined for tau = 0")
     i = grid_index(pl.times, tau)
@@ -393,8 +359,6 @@ def bloch_velocity(drho):
     drho = np.asarray(drho, dtype=complex)
     if drho.shape != (2, 2):
         raise StateError("Bloch velocity needs a 2x2 derivative")
-    from .states import SIGMA_X, SIGMA_Y, SIGMA_Z
-
     return np.array(
         [
             float(np.trace(drho @ SIGMA_X).real),

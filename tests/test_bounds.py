@@ -414,6 +414,18 @@ class TestScanIntegratesOnce:
         assert "steps = 1000000000" in str(err.value)
         assert calls == []
 
+    @pytest.mark.parametrize("tau_list,steps_per_unit", [
+        ([1.0, 2.0], 10**400),
+        ([1.0, 1e308], 500),
+    ], ids=["huge-steps", "huge-horizon"])
+    def test_step_count_overflow_rejected(self, monkeypatch, tau_list, steps_per_unit):
+        calls = self.count_integrations(monkeypatch)
+        model = spiral(0.5, 5.0)
+        with pytest.raises(ModelError) as err:
+            divergence_scan(model, model.rho0, tau_list, steps_per_unit)
+        assert "steps" in str(err.value)
+        assert calls == []
+
 
 class TestBoundReport:
     def test_frozen_dynamics_row(self):

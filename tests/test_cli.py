@@ -229,7 +229,11 @@ class TestConfigErrors:
         ("epsilon-sweep", "--model", "spiral", "--tau", "1", "--steps", "1000000000"),
         # only the largest horizon's 10**9 steps pass the cap
         ("divergence-scan", "--model", "spiral", "--tau-list", "1,2000000", "--steps", "500"),
-    ], ids=["run", "epsilon-sweep", "divergence-scan"])
+        # steps per unit time times the horizon overflows a float
+        ("divergence-scan", "--model", "spiral", "--tau-list", "1,2", "--steps", "9" * 401),
+        ("divergence-scan", "--model", "spiral", "--tau-list", "1,1e308", "--steps", "500"),
+    ], ids=["run", "epsilon-sweep", "divergence-scan", "divergence-scan-huge-steps",
+            "divergence-scan-huge-horizon"])
     def test_oversized_trajectory_rejected(self, argv, capsys, forbid_large_arrays):
         assert run_cli(*argv) == 2
         assert "--steps" in capsys.readouterr().err

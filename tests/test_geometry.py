@@ -346,9 +346,10 @@ class TestBatchedSpectra:
     def test_origin_samples_shape(self):
         model = amplitude_damping(1.0)
         prof = speed_profile(evolve(model, model.rho0, 1.0, 64))
-        assert prof.origin_cells == 16
-        assert len(prof.origin_times) == 16 * 15
+        assert prof.origin_times.shape == (16 * 15,)
+        assert prof.origin_samples.shape == (4, 16 * 15)
         assert np.all(np.diff(prof.origin_times) > 0.0)
+        assert 0.0 < prof.origin_times[0] and prof.origin_times[-1] < prof.times[16]
 
     @pytest.mark.parametrize("index", [37, 600])
     @pytest.mark.parametrize("corrupt,words", [
@@ -385,3 +386,52 @@ class TestBatchedSpectra:
         with pytest.raises(StateError) as err:
             speed_profile(dataclasses.replace(traj, derivatives=derivs))
         assert "grid index 515: qfi_rate derivative has trace" in str(err.value)
+
+
+def merged_grid_reference(profile):
+    """Grid-node integrals of the speed and the op, hs and tr norm speeds,
+    each integrated by :func:`cumulative_path_integral` over the union of
+    grid and origin times in ``np.argsort`` order; shares none of the index
+    arithmetic of :func:`path_length`."""
+    times = np.concatenate([profile.times, profile.origin_times])
+    order = np.argsort(times, kind="stable")
+    assert np.all(np.diff(times[order]) > 0.0)
+    grid = [profile.speed, profile.norm_speed_op, profile.norm_speed_hs, profile.norm_speed_tr]
+    out = []
+    for values, origin in zip(grid, profile.origin_samples):
+        integral = np.empty(len(times))
+        integral[order] = cumulative_path_integral(
+            times[order], np.concatenate([values, origin])[order])
+        out.append(integral[: len(profile.times)])
+    return out
+
+
+class TestMergedGrid:
+    """:func:`path_length` equals, bit for bit, the quadrature over the
+    sorted union of grid and origin samples."""
+
+    def assert_matches_reference(self, traj):
+        prof = speed_profile(traj)
+        pl = path_length(prof)
+        got = [pl.length, pl.norm_integral_op, pl.norm_integral_hs, pl.norm_integral_tr]
+        for name, g, want in zip(["length", "op", "hs", "tr"], got, merged_grid_reference(prof)):
+            assert np.array_equal(g, want), name
+
+    @pytest.mark.parametrize("model", catalog(0.5, 5.0), ids=lambda m: m.name)
+    def test_catalog(self, model):
+        self.assert_matches_reference(evolve(model, model.rho0, 2.0, 400))
+
+    def test_sixteen_steps(self):
+        # every grid cell is refined
+        model = amplitude_damping(1.0)
+        self.assert_matches_reference(evolve(model, model.rho0, 1.0, 16))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_models(self, rng, dim):
+        traj = random_model_trajectory(rng, dim, 64)
+        self.assert_matches_reference(traj)
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+        # a short horizon: RK4 steps of 1/64 from a pure start can leave an
+        # eigenvalue below the -1e-10 the speed samples accept (dims 7, 8)
+        self.assert_matches_reference(evolve(traj.model, pure, 0.25, 64))
