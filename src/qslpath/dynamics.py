@@ -7,10 +7,24 @@ The generator is the standard GKSL form (hbar = 1)
 integrated with classical fixed-step RK4 on a uniform grid.  Fixed step is
 deliberate: the grid is shared with the quadrature and root-finding layers,
 so accuracy is bought with steps and verified by a convergence-order test.
-Each stored state is re-symmetrized and trace-renormalized; the generator
-derivative at every grid point is stored alongside the state (derivatives
-are never finite-differenced, the Fisher-information speed is too sensitive
-to that noise).
+
+Trajectories step with the Liouvillian: on row-major vectorized states
+(vec(A X B) = (A kron B^T) vec X) the generator is the d^2 x d^2 matrix
+
+    L = -i (H kron I - I kron H^T)
+        + sum_k gamma_k (L_k kron L_k* - 0.5 (L_k' L_k kron I + I kron (L_k' L_k)^T))
+
+and, the equation being linear and autonomous, one classical RK4 step of
+size h is exactly the matrix P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24.
+Both are built once per integration, so a step is one product with P and
+a stored derivative one product with L (T. F. Havel, J. Math. Phys. 44,
+534 (2003)).  Each stored state is re-symmetrized and trace-renormalized;
+the generator derivative at every grid point is stored alongside the state
+(derivatives are never finite-differenced, the Fisher-information speed is
+too sensitive to that noise).  The origin sub-steps of
+:mod:`qslpath.geometry` and :func:`lindblad_rhs` still evaluate the GKSL
+right-hand side above directly (``_gksl_rhs``, ``_rk4_step``).  The
+stationary state of a non-catalog model is the limit in the kernel of L.
 
 The catalog ships four qubit models whose closed forms serve as oracles:
 
@@ -43,7 +57,6 @@ from .states import (
     eigh_values,
     require_density_matrix,
     require_hermitian,
-    trace_distance,
 )
 
 __all__ = [
@@ -74,6 +87,9 @@ POSITIVITY_FAIL = 1e-6
 # allocated up front.  1 GiB allows about 8.4 million steps at dim 2 and
 # 524 thousand at dim 8.
 MAX_TRAJECTORY_BYTES = 2**30
+# Singular values of the Liouvillian up to this fraction of the largest
+# span its kernel in :func:`stationary_state`.
+KERNEL_RTOL = 1e-12
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 PLUS_STATE = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -250,28 +266,63 @@ def _rk4_step(rhs, rho, k1, h):
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
+def _liouvillian(model):
+    """The GKSL generator of ``model`` as a ``(d^2, d^2)`` matrix ``L`` on
+    row-major vectorized states, ``vec(drho/dt) = L vec(rho)``.
+
+    Built term by term from vec(A X B) = (A kron B^T) vec(X).
+    """
+    ham = model.hamiltonian
+    eye = np.eye(model.dim)
+    gen = -1.0j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    for op, rate in model.jumps:
+        if rate > 0.0:
+            op = np.asarray(op, dtype=complex)
+            opdop = op.conj().T @ op
+            gen = gen + rate * (
+                np.kron(op, op.conj()) - 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
+            )
+    return gen
+
+
+def _rk4_propagator(gen, h):
+    """One classical RK4 step of size ``h`` for the linear equation
+    ``dv/dt = gen v``: the matrix I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24,
+    in nested (Horner) form."""
+    eye = np.eye(gen.shape[0])
+    hl = h * gen
+    return eye + hl @ (eye + (hl / 2.0) @ (eye + (hl / 3.0) @ (eye + hl / 4.0)))
+
+
 def _integrate(model, rho0, tau, steps, checkpoints, renormalize=True):
     """The RK4 loop of :func:`evolve` on inputs :func:`_check_run` has
     passed, checking positivity after each step in ``checkpoints``.
 
-    The states depend on ``tau`` only through the step ``tau / steps``, so
-    runs with the same step agree bit for bit on their common prefix.
+    Each step is one product with the RK4 propagator of the Liouvillian,
+    followed by Hermitian symmetrization and trace renormalization; each
+    stored derivative is one product with the Liouvillian.  The states
+    depend on ``tau`` only through the step ``tau / steps``, so runs with
+    the same step agree bit for bit on their common prefix.
     """
     h = tau / steps
     n = model.dim
     times = np.linspace(0.0, tau, steps + 1)
     states = np.empty((steps + 1, n, n), dtype=complex)
     derivs = np.empty((steps + 1, n, n), dtype=complex)
+    flat_states = states.reshape(steps + 1, n * n)
+    flat_derivs = derivs.reshape(steps + 1, n * n)
 
-    rhs = _gksl_rhs(model)
+    gen = _liouvillian(model)
+    gen_t = np.ascontiguousarray(gen.T)
+    prop_t = np.ascontiguousarray(_rk4_propagator(gen, h).T)
     max_renorm = 0.0
-    rho = rho0.copy()
-    states[0] = rho
-    derivs[0] = rhs(rho)
+    states[0] = rho0
+    flat_derivs[0] = flat_states[0] @ gen_t
     for i in range(steps):
-        rho = _rk4_step(rhs, rho, derivs[i], h)
+        rho = (flat_states[i] @ prop_t).reshape(n, n)
+        # the real diagonal, and so the trace, is unchanged by symmetrization
         tr = rho.trace().real
-        if not np.isfinite(tr):
+        if not math.isfinite(tr):
             raise IntegrationError(f"state diverged at step {i + 1}", step=i + 1)
         drift = abs(tr - 1.0)
         if drift > max_renorm:
@@ -281,12 +332,10 @@ def _integrate(model, rho0, tau, steps, checkpoints, renormalize=True):
                     "renormalization factor %.3e at step %d of %s",
                     tr, i + 1, model.name,
                 )
-        if renormalize:
-            rho = rho / tr
-        states[i + 1] = rho
-        derivs[i + 1] = rhs(rho)
+        np.multiply(rho + rho.conj().T, 0.5 / tr if renormalize else 0.5, out=states[i + 1])
+        flat_derivs[i + 1] = flat_states[i + 1] @ gen_t
         if i + 1 in checkpoints:
-            _check_positivity(rho, i + 1)
+            _check_positivity(states[i + 1], i + 1)
     return Trajectory(
         model=model,
         tau=float(tau),
@@ -315,35 +364,46 @@ def evolve(model, rho0, tau, steps, renormalize=True):
     return _integrate(model, rho0, tau, steps, _checkpoints(steps), renormalize)
 
 
-def stationary_state(model, checkpoint_budget=10_000):
+def stationary_state(model):
     """Stationary state of ``model`` and whether it is only reached
     asymptotically.
 
-    Catalog models answer from their analytic entry.  Otherwise the
-    maximally mixed state is propagated in checkpoints of length
-    1/max(rate) until successive checkpoints agree to 1e-12 in trace
-    distance; the returned flag is then True, making the asymptotic nature
-    of the limit explicit.  Models without jumps have no attractor and
-    raise :class:`StationaryStateError`.
+    Catalog models answer from their analytic entry.  Otherwise the answer
+    is the limit that propagating the maximally mixed state reaches: the
+    projection of vec(I/d) onto the kernel of the Liouvillian along its
+    range, built from biorthogonal left and right null bases of its SVD
+    (the kernel may have more than one dimension).  The returned flag is
+    then True, making the asymptotic nature of the limit explicit.  Models
+    without jumps have no attractor, and a result that the Liouvillian does
+    not map to zero within ``KERNEL_RTOL`` times its largest singular value
+    fails the residual check; both raise :class:`StationaryStateError`.
     """
     if model.stationary is not None:
         return model.stationary.copy(), model.stationary_is_asymptotic
-    rates = [rate for _, rate in model.jumps if rate > 0.0]
-    if not rates:
+    if not any(rate > 0.0 for _, rate in model.jumps):
         raise StationaryStateError(
             f"{model.name}: unitary dynamics has no stationary state"
         )
-    span = 1.0 / max(rates)
-    rho = np.eye(model.dim, dtype=complex) / model.dim
-    for _ in range(checkpoint_budget):
-        traj = evolve(model, rho, span, 256)
-        nxt = traj.states[-1]
-        if trace_distance(rho, nxt) < 1e-12:
-            return nxt, True
-        rho = nxt
-    raise StationaryStateError(
-        f"{model.name}: no convergence within {checkpoint_budget} checkpoints"
+    d = model.dim
+    gen = _liouvillian(model)
+    u, sv, vh = np.linalg.svd(gen)
+    tol = KERNEL_RTOL * sv[0]
+    k = max(1, int(np.count_nonzero(sv <= tol)))
+    right = vh[-k:].conj().T
+    left = u[:, -k:].conj().T
+    start = np.eye(d, dtype=complex).reshape(-1) / d
+    failure = StationaryStateError(
+        f"{model.name}: the Liouvillian kernel does not give a stationary state"
     )
+    try:
+        rho = (right @ np.linalg.solve(left @ right, left @ start)).reshape(d, d)
+    except np.linalg.LinAlgError:
+        raise failure from None
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / rho.trace().real
+    if not np.max(np.abs(gen @ rho.reshape(-1))) <= tol:
+        raise failure
+    return rho, True
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +504,32 @@ def precession(omega):
     )
 
 
+def _composite_gauss_legendre(panels, order):
+    """Nodes and weights of ``panels`` equal ``order``-point Gauss-Legendre
+    panels on [0, 1].
+
+    Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi
+    matrix of the Legendre recurrence, the weights twice the squared first
+    components of its eigenvectors.
+    """
+    k = np.arange(1.0, order)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    w = 2.0 * vecs[0] ** 2
+    left = np.arange(panels)[:, None] / panels
+    return (left + (x + 1.0) / (2 * panels)).ravel(), np.tile(w / (2 * panels), panels)
+
+
+# The spiral length oracle's rule on [0, 1] in s / sqrt(t).
+SPIRAL_NODES, SPIRAL_WEIGHTS = _composite_gauss_legendre(32, 16)
+
+
 def _spiral_speed(gamma, omega):
     def speed(t):
         t = np.asarray(t, dtype=float)
         r = np.exp(-2.0 * gamma * t)
-        radial = 4.0 * gamma**2 * r**4 / np.clip(1.0 - r * r, 1e-300, None)
+        # 1 - r^2 through expm1: the subtraction loses all digits as t -> 0
+        radial = 4.0 * gamma**2 * r**4 / np.clip(-np.expm1(-4.0 * gamma * t), 1e-300, None)
         zeta = r * r * (4.0 * gamma**2 + omega**2) + np.where(t == 0.0, 0.0, radial)
         out = 0.5 * np.sqrt(zeta)
         if gamma > 0.0:
@@ -473,13 +554,13 @@ def spiral(gamma, omega):
 
     def length(t):
         # No elementary antiderivative for omega > 0; integrate the
-        # closed-form speed on a fine grid in s = sqrt(t), where the
-        # integrand 2 s * speed(s^2) is smooth down to s = 0.
+        # closed-form speed in s = sqrt(t), where the integrand
+        # 2 s * speed(s^2) is analytic down to s = 0, by composite
+        # Gauss-Legendre (its nodes never touch s = 0).
         if t == 0.0:
             return 0.0
-        edges = np.linspace(0.0, np.sqrt(t), 200_001)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.sum(2.0 * mids * speed(mids * mids)) * (edges[1] - edges[0]))
+        s = np.sqrt(t) * SPIRAL_NODES
+        return float(np.sqrt(t) * np.dot(SPIRAL_WEIGHTS, 2.0 * s * speed(s * s)))
 
     def bures(t):
         x = np.exp(-2.0 * gamma * t) * np.cos(omega * t)

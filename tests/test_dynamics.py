@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -22,17 +23,92 @@ from qslpath import (
     stationary_state,
     trace_distance,
 )
+from qslpath import dynamics
 from qslpath.dynamics import (
     EXCITED_STATE,
     MAX_TRAJECTORY_BYTES,
     PLUS_STATE,
     SIGMA_MINUS,
+    _gksl_rhs,
+    _integrate,
+    _liouvillian,
     _require_storage,
+    _rk4_step,
 )
 from conftest import random_density
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 MIXED = 0.5 * np.eye(2, dtype=complex)
+DIMS = range(2, 9)
+
+
+def random_model(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    jumps = [
+        ((rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(dim),
+         float(rng.uniform(0.1, 1.0)))
+        for _ in range(int(rng.integers(1, 3)))
+    ]
+    return LindbladModel(name=f"random-{dim}", dim=dim,
+                         hamiltonian=0.5 * (g + g.conj().T), jumps=jumps)
+
+
+def random_pure(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = psi / np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def transition(i, j, dim):
+    """The jump operator |i><j|."""
+    op = np.zeros((dim, dim), dtype=complex)
+    op[i, j] = 1.0
+    return op
+
+
+def gksl_reference(model, rho0, tau, steps, renormalize):
+    """States and derivatives of the four-evaluation RK4 loop on the GKSL
+    right-hand side, with the same symmetrization and renormalization."""
+    rhs = _gksl_rhs(model)
+    h = tau / steps
+    rho = rho0
+    states = [rho]
+    for _ in range(steps):
+        rho = _rk4_step(rhs, rho, rhs(rho), h)
+        if renormalize:
+            rho = rho / rho.trace().real
+        states.append(rho)
+    states = np.array(states)
+    return states, rhs(states)
+
+
+def propagated_limit(model, rho0):
+    """The fixed point reached by propagating ``rho0`` in checkpoints of
+    length 1/max(rate) until successive ones agree to 1e-12."""
+    span = 1.0 / max(rate for _, rate in model.jumps)
+    rho = rho0
+    for _ in range(10_000):
+        nxt = _integrate(model, rho, span, 256, set()).states[-1]
+        if trace_distance(rho, nxt) < 1e-12:
+            return nxt
+        rho = nxt
+    raise AssertionError(f"{model.name}: propagation did not converge")
+
+
+def integration_cases():
+    rng = np.random.default_rng(7)
+    cases = []
+    for model in catalog(gamma=1.0, omega=3.0):
+        cases.append((model, model.rho0, 2.0, f"{model.name}-pure"))
+        cases.append((model, random_density(rng, 2), 2.0, f"{model.name}-mixed"))
+    for dim in DIMS:
+        model = random_model(rng, dim)
+        cases.append((model, random_pure(rng, dim), 0.5, f"random-{dim}-pure"))
+        cases.append((model, random_density(rng, dim), 1.0, f"random-{dim}-mixed"))
+    return cases
+
+
+INTEGRATION_CASES = integration_cases()
 
 
 class TestGenerator:
@@ -69,6 +145,25 @@ class TestGenerator:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(StateError):
             lindblad_rhs(amplitude_damping(1.0), random_density(rng, 3))
+
+
+class TestLiouvillian:
+    @pytest.mark.parametrize("model,rho,tau,label", INTEGRATION_CASES,
+                             ids=[case[-1] for case in INTEGRATION_CASES])
+    def test_matches_lindblad_rhs(self, model, rho, tau, label):
+        expected = lindblad_rhs(model, rho)
+        got = (_liouvillian(model) @ rho.reshape(-1)).reshape(rho.shape)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("model,rho0,tau,label", INTEGRATION_CASES,
+                             ids=[case[-1] for case in INTEGRATION_CASES])
+    def test_propagator_matches_gksl_steps(self, model, rho0, tau, label, renormalize):
+        steps = 200
+        traj = _integrate(model, rho0, tau, steps, set(), renormalize)
+        states, derivs = gksl_reference(model, rho0, tau, steps, renormalize)
+        assert np.max(np.abs(traj.states - states)) <= 1e-13 * np.max(np.abs(states))
+        assert np.max(np.abs(traj.derivatives - derivs)) <= 1e-13 * np.max(np.abs(derivs))
 
 
 class TestEvolve:
@@ -206,6 +301,47 @@ class TestStationaryState:
         assert trace_distance(rho_f, KET0) < 1e-9
         assert asymptotic
 
+    def test_slow_ladder(self):
+        # |2> -> |1> at rate 1e-6, |1> -> |0> at rate 1: propagation in
+        # checkpoints of length 1 needs ~1e7 of them to settle
+        ladder = LindbladModel(
+            name="slow-ladder", dim=3, hamiltonian=np.zeros((3, 3), dtype=complex),
+            jumps=[(transition(0, 1, 3), 1.0), (transition(1, 2, 3), 1e-6)],
+        )
+        start = time.perf_counter()
+        rho_f, asymptotic = stationary_state(ladder)
+        assert time.perf_counter() - start < 1.0
+        assert np.max(np.abs(rho_f - np.diag([1.0, 0.0, 0.0]))) < 1e-12
+        assert asymptotic
+
+    def test_degenerate_kernel_is_limit_from_maximally_mixed(self):
+        # |2> is untouched, so the kernel has more than one dimension; the
+        # limit from I/3 keeps |2>'s third and moves |1>'s third to |0>
+        model = LindbladModel(
+            name="one-jump", dim=3, hamiltonian=np.zeros((3, 3), dtype=complex),
+            jumps=[(transition(0, 1, 3), 1.0)],
+        )
+        rho_f, asymptotic = stationary_state(model)
+        assert np.max(np.abs(rho_f - np.diag([2.0, 0.0, 1.0]) / 3.0)) < 1e-12
+        assert asymptotic
+
+    def test_residual_check(self, monkeypatch):
+        # with a zero tolerance no computed state is exactly in the kernel
+        monkeypatch.setattr(dynamics, "KERNEL_RTOL", 0.0)
+        with pytest.raises(StationaryStateError) as err:
+            stationary_state(random_model(np.random.default_rng(5), 3))
+        assert "kernel" in str(err.value)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_agrees_with_propagation(self, dim):
+        model = random_model(np.random.default_rng(100 + dim), dim)
+        rho_f, asymptotic = stationary_state(model)
+        expected = propagated_limit(model, np.eye(dim, dtype=complex) / dim)
+        assert trace_distance(rho_f, expected) < 1e-9
+        assert np.max(np.abs(rho_f - rho_f.conj().T)) == 0.0
+        assert abs(np.trace(rho_f) - 1.0) < 1e-14
+        assert asymptotic
+
 
 class TestCatalog:
     def test_contains_four_models(self):
@@ -233,6 +369,29 @@ class TestCatalog:
         brute = brute_force_length(model.oracles.speed, t)
         assert abs(brute - np.arccos(np.exp(-0.5 * g * t))) < 5e-4
         assert model.oracles.path_length(t) == pytest.approx(np.arccos(np.exp(-0.5 * g * t)))
+
+    def test_spiral_length_oracle_matches_midpoint_rule(self):
+        """The Gauss-Legendre spiral length agrees to 1e-12 with composite
+        midpoint in s = sqrt(t) on 200000 cells, the oracle's former rule,
+        once Richardson extrapolation against 400000 cells removes that
+        rule's own h^2 error (up to 1.5e-11 on this grid).  Grid: the
+        rates and horizons of the tests and of the benchmark's scans."""
+        def midpoint(speed, t, cells):
+            edges = np.linspace(0.0, np.sqrt(t), cells + 1)
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            return float(np.sum(2.0 * mids * speed(mids * mids)) * (edges[1] - edges[0]))
+
+        rng = np.random.default_rng(11)
+        cases = [(0.5, 5.0, t) for t in (0.01, 1.0, 2.0, 3.0, 8.0)]
+        cases += [(g, w, 10.0 / g) for g in (0.2, 1.0, 5.0) for w in (0.2, 1.0, 5.0)]
+        cases += [(g, w, t) for g in (0.2, 2.0) for w in (1.0, 8.0) for t in (2.0, 4.0, 8.0)]
+        cases += [(float(rng.uniform(0.2, 2.0)), float(rng.uniform(1.0, 8.0)), t)
+                  for _ in range(8) for t in (2.0, 4.0, 8.0)]
+        for g, w, t in cases:
+            model = spiral(g, w)
+            coarse = midpoint(model.oracles.speed, t, 200_000)
+            fine = midpoint(model.oracles.speed, t, 400_000)
+            assert abs(model.oracles.path_length(t) - (4.0 * fine - coarse) / 3.0) < 1e-12, (g, w, t)
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ModelError):
