@@ -279,7 +279,7 @@ def _trace_distances(states, rho_f):
     distance = np.empty(len(states))
     for lo in range(0, len(states), STACK_BLOCK):
         block = states[lo:lo + STACK_BLOCK]
-        _, _, faults = _density_stack(block, "state", "grid index", lo)
+        _, _, faults = _density_stack(block, "state", "grid index", lo, trajectory=True)
         _raise_first_fault(faults, "grid index", lo)
         distance[lo:lo + len(block)] = _trace_distance_stack(block, rho_f, "grid index", lo)
     return distance

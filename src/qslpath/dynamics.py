@@ -21,10 +21,12 @@ a stored derivative one product with L (T. F. Havel, J. Math. Phys. 44,
 534 (2003)).  Each stored state is re-symmetrized and trace-renormalized;
 the generator derivative at every grid point is stored alongside the state
 (derivatives are never finite-differenced, the Fisher-information speed is
-too sensitive to that noise).  The origin sub-steps of
-:mod:`qslpath.geometry` and :func:`lindblad_rhs` still evaluate the GKSL
-right-hand side above directly (``_gksl_rhs``, ``_rk4_step``).  The
-stationary state of a non-catalog model is the limit in the kernel of L.
+too sensitive to that noise).  L is the only form of the generator in
+the package: :func:`lindblad_rhs` is one product with it, and the origin
+sub-steps of :mod:`qslpath.geometry` take the same RK4 step in Horner form,
+v + h L (v + (h/2) L (v + (h/3) L (v + (h/4) L v))), on a stack of states
+with per-state steps.  The stationary state of a non-catalog model is the
+limit in the kernel of L.
 
 The catalog ships four qubit models whose closed forms serve as oracles:
 
@@ -45,13 +47,14 @@ The catalog ships four qubit models whose closed forms serve as oracles:
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import IntegrationError, ModelError, StateError, StationaryStateError
 from .states import (
+    POSITIVITY_FAIL,
     SIGMA_Z,
     bloch_to_state,
     eigh_values,
@@ -81,7 +84,6 @@ log = logging.getLogger(__name__)
 
 MIN_STEPS = 16
 RENORM_WARN = 1e-6
-POSITIVITY_FAIL = 1e-6
 # Largest trajectory :func:`evolve` will store, in bytes: its states and
 # derivatives take 32 * (steps + 1) * dim**2 (two complex128 arrays), all
 # allocated up front.  1 GiB allows about 8.4 million steps at dim 2 and
@@ -155,40 +157,18 @@ def _require_rate(value, what):
         raise ModelError(f"{what} {value} is negative")
 
 
-def _gksl_rhs(model):
-    """The GKSL generator of ``model`` as a function of ``rho``.
-
-    The returned closure accepts one ``(d, d)`` state or an ``(N, d, d)``
-    stack; jump products are formed once here, outside the callers' loops.
-    """
-    ham = model.hamiltonian
-    terms = []
-    for op, rate in model.jumps:
-        if rate > 0.0:
-            op = np.asarray(op, dtype=complex)
-            opd = op.conj().T
-            terms.append((op, opd, opd @ op, rate))
-
-    def rhs(rho):
-        out = -1.0j * (ham @ rho - rho @ ham)
-        for op, opd, opdop, rate in terms:
-            out = out + rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
-        return out
-
-    return rhs
-
-
 def lindblad_rhs(model, rho):
     """Generator derivative drho/dt for ``rho`` under ``model``.
 
-    The result is Hermitian and traceless up to rounding.
+    The result, L vec(rho) reshaped (see :func:`_liouvillian`), is
+    Hermitian and traceless up to rounding.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (model.dim, model.dim):
         raise StateError(
             f"state shape {rho.shape} does not match model dimension {model.dim}"
         )
-    return _gksl_rhs(model)(rho)
+    return (_liouvillian(model) @ rho.reshape(-1)).reshape(rho.shape)
 
 
 @dataclass(frozen=True)
@@ -211,7 +191,7 @@ class Trajectory:
 
 def _check_positivity(rho, step):
     w = eigh_values(rho)
-    if w[0] < -POSITIVITY_FAIL:
+    if w[0] <= -POSITIVITY_FAIL:
         raise IntegrationError(
             f"state lost positivity at step {step}: min eigenvalue {w[0]:.3e}",
             step=step,
@@ -250,20 +230,6 @@ def _checkpoints(steps):
     ``steps // 64``-th (at most 64) and the last."""
     every = max(1, steps // 64)
     return set(range(every, steps + 1, every)) | {steps}
-
-
-def _rk4_step(rhs, rho, k1, h):
-    """One classical RK4 step of size ``h`` from ``rho``, whose derivative
-    ``k1`` the caller already has, followed by Hermitian symmetrization.
-
-    ``rho`` is one ``(d, d)`` state with a scalar ``h``, or an
-    ``(N, d, d)`` stack with per-state steps ``h`` of shape ``(N, 1, 1)``.
-    """
-    k2 = rhs(rho + (0.5 * h) * k1)
-    k3 = rhs(rho + (0.5 * h) * k2)
-    k4 = rhs(rho + h * k3)
-    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def _liouvillian(model):
@@ -354,8 +320,9 @@ def evolve(model, rho0, tau, steps, renormalize=True):
     Each accepted state is re-symmetrized and (by default) trace-
     renormalized; the renormalization factor is logged if it ever drifts
     past 1e-6.  Positivity is checked at up to 64 checkpoints and at the
-    final state; a violation raises :class:`IntegrationError` carrying the
-    step index.  ``renormalize=False`` exposes the raw integrator for
+    final state; a smallest eigenvalue at or below ``-POSITIVITY_FAIL``
+    (see :mod:`qslpath.states`) raises :class:`IntegrationError` carrying
+    the step index.  ``renormalize=False`` exposes the raw integrator for
     drift measurements.  A trajectory that would store more than
     :data:`MAX_TRAJECTORY_BYTES` raises :class:`ModelError` before any
     allocation.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _gksl_rhs, _rk4_step
+from .dynamics import _liouvillian
 from .errors import FrozenDynamicsError, StateError
 from .states import (
     SIGMA_X,
@@ -62,15 +62,17 @@ SUPPORT_CUTOFF = 1e-12
 PURE_BLOCH_TOL = 1e-9
 
 
-def _validated_eigh(rho, drho, label=None, first=0):
+def _validated_eigh(rho, drho, label=None, first=0, trajectory=False):
     """Eigendecomposition of an ``(N, d, d)`` stack of states, after the
-    checks :func:`qfi_rate` makes on each (state, derivative) pair.
+    checks :func:`qfi_rate` makes on each (state, derivative) pair, with
+    the positivity test of integrator output for ``trajectory`` states.
 
     The first failing pair raises :class:`StateError`, prefixed
     ``"<label> <first + k>: "`` when a label is given; the positivity check
     reads the eigenvalues of the same LAPACK call.
     """
-    w, v, faults = _density_stack(rho, "qfi_rate state", label, first, vectors=True)
+    w, v, faults = _density_stack(
+        rho, "qfi_rate state", label, first, vectors=True, trajectory=trajectory)
     d_tr = np.trace(drho, axis1=1, axis2=2).real
     _raise_first_fault(
         faults
@@ -120,7 +122,7 @@ def _speed_samples(states, derivs, label):
     for lo in range(0, n, STACK_BLOCK):
         hi = min(lo + STACK_BLOCK, n)
         rho, drho = states[lo:hi], derivs[lo:hi]
-        w, v = _validated_eigh(rho, drho, label, lo)
+        w, v = _validated_eigh(rho, drho, label, lo, trajectory=True)
         qfi[lo:hi] = _qfi(w, v, drho, SUPPORT_CUTOFF)
         norms[:, lo:hi] = _norms_from_eigenvalues(
             _lapack(np.linalg.eigvalsh, drho, label, lo)
@@ -186,31 +188,41 @@ class SpeedProfile:
 
 
 def _refined_origin(traj, cells):
-    """Times and ``(4, M)`` speed samples (see :class:`SpeedProfile`) at the
-    sqrt(t)-uniform sub-nodes inside the first ``cells`` grid cells,
-    excluding the grid nodes themselves.
+    """Times, states and generator derivatives at the sqrt(t)-uniform
+    sub-nodes inside the first ``cells`` grid cells (see
+    :class:`SpeedProfile`), excluding the grid nodes themselves.
 
     States at sub-nodes are reached by short RK4 steps restarted from the
     stored grid state of each cell, so the samples stay consistent with
     the trajectory to integrator accuracy.  All cells advance together as
-    one stack, each with its own step sizes.
+    one ``(cells, d^2)`` stack of vectorized states, each with its own step
+    ``h``: a step is RK4 for the Liouvillian L in Horner form,
+    v + h L (v + (h/2) L (v + (h/3) L (v + (h/4) L v))), followed by
+    Hermitian symmetrization and trace renormalization.  The derivatives
+    at all sub-nodes are one product with L.
     """
-    rhs = _gksl_rhs(traj.model)
+    gen_t = np.ascontiguousarray(_liouvillian(traj.model).T)
+    n = traj.model.dim
     s_nodes = np.sqrt(traj.times[: cells + 1])
     sub_s = np.linspace(s_nodes[:-1], s_nodes[1:], ORIGIN_SUBSTEPS + 1, axis=1)
     sub_t = sub_s * sub_s
-    rho = traj.states[:cells].copy()
-    t_now = traj.times[:cells]
-    sub_states = np.empty((cells, ORIGIN_SUBSTEPS - 1) + rho.shape[1:], dtype=complex)
-    for j in range(1, ORIGIN_SUBSTEPS):
-        t_next = sub_t[:, j]
-        rho = _rk4_step(rhs, rho, rhs(rho), (t_next - t_now)[:, None, None])
-        rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-        t_now = t_next
-        sub_states[:, j - 1] = rho
-    states = sub_states.reshape((-1,) + rho.shape[1:])
-    qfi, norms = _speed_samples(states, rhs(states), "origin sample")
-    return sub_t[:, 1:-1].reshape(-1), np.vstack([0.5 * np.sqrt(qfi), norms])
+    # each cell starts at its stored grid time, not at that time's sqrt squared
+    steps = np.diff(np.column_stack([traj.times[:cells], sub_t[:, 1:-1]]), axis=1)
+    sub_states = np.empty((cells, ORIGIN_SUBSTEPS - 1, n, n), dtype=complex)
+    v = traj.states[:cells].reshape(cells, n * n)
+    for j in range(ORIGIN_SUBSTEPS - 1):
+        h = steps[:, j, None]
+        w = v + (h / 4.0) * (v @ gen_t)
+        w = v + (h / 3.0) * (w @ gen_t)
+        w = v + (h / 2.0) * (w @ gen_t)
+        rho = (v + h * (w @ gen_t)).reshape(cells, n, n)
+        rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        sub_states[:, j] = rho
+        v = rho.reshape(cells, n * n)
+    states = sub_states.reshape(-1, n, n)
+    derivs = (states.reshape(-1, n * n) @ gen_t).reshape(states.shape)
+    return sub_t[:, 1:-1].reshape(-1), states, derivs
 
 
 def speed_profile(traj):
@@ -221,9 +233,8 @@ def speed_profile(traj):
     An invalid state or derivative raises :class:`StateError` naming its
     grid index (``origin sample k`` for a sub-node)."""
     qfi, (op, hs, tr) = _speed_samples(traj.states, traj.derivatives, "grid index")
-    origin_times, origin_samples = _refined_origin(
-        traj, min(ORIGIN_CELLS, len(traj.times) - 1)
-    )
+    origin_times, states, derivs = _refined_origin(traj, min(ORIGIN_CELLS, len(traj.times) - 1))
+    origin_qfi, origin_norms = _speed_samples(states, derivs, "origin sample")
     return SpeedProfile(
         times=traj.times,
         qfi=qfi,
@@ -233,7 +244,7 @@ def speed_profile(traj):
         norm_speed_tr=tr,
         initial_purity=purity(traj.states[0]),
         origin_times=origin_times,
-        origin_samples=origin_samples,
+        origin_samples=np.vstack([0.5 * np.sqrt(origin_qfi), origin_norms]),
     )
 
 

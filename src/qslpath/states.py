@@ -5,7 +5,10 @@ States are plain ``numpy`` arrays of ``complex`` with shape ``(d, d)``,
 :func:`require_density_matrix`) raise :class:`~qslpath.errors.StateError`
 rather than silently repairing bad input; the one sanctioned repair is
 clamping eigenvalues in ``(-PSD_TOL, 0)`` to zero, since fixed-step
-integration routinely produces harmless tiny negatives.
+integration routinely produces harmless tiny negatives.  States the
+integrator produced (grid points, origin sub-nodes) need only keep their
+eigenvalues above ``-POSITIVITY_FAIL``, the bound ``evolve`` checks: a first
+RK4 step from a pure start can push zero eigenvalues below ``-PSD_TOL``.
 
 The single-matrix helpers (:func:`eigh`, :func:`eigh_values`,
 :func:`fidelity`, :func:`matrix_sqrt`, :func:`schatten_norm`) use a cyclic
@@ -51,6 +54,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+POSITIVITY_FAIL = 1e-6
 ARCCOS_SLACK = 1e-8
 
 MIN_DIM = 2
@@ -85,15 +89,19 @@ def _hermitian_faults(a, name):
     ]
 
 
-def _density_faults(rho, min_eigenvalues, name):
+def _density_faults(rho, min_eigenvalues, name, trajectory=False):
     """The checks of :func:`require_density_matrix` over a stack whose
-    smallest eigenvalues are already known."""
+    smallest eigenvalues are already known; ``trajectory`` states must
+    have them above ``-POSITIVITY_FAIL`` instead of ``-PSD_TOL``."""
     tr = np.trace(rho, axis1=1, axis2=2)
     bad_trace = (np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > HERMITIAN_TOL)
+    if trajectory:
+        negative = min_eigenvalues <= -POSITIVITY_FAIL
+    else:
+        negative = min_eigenvalues < -PSD_TOL
     return _hermitian_faults(rho, name) + [
         (bad_trace, lambda k: f"{name}: trace is {tr[k]}, expected 1"),
-        (min_eigenvalues < -PSD_TOL,
-         lambda k: f"{name}: negative eigenvalue {min_eigenvalues[k]:.3e}"),
+        (negative, lambda k: f"{name}: negative eigenvalue {min_eigenvalues[k]:.3e}"),
     ]
 
 
@@ -126,19 +134,20 @@ def _lapack(solver, a, label=None, first=0):
         raise EigensolverError(f"{where}LAPACK eigensolver failed: {exc}") from exc
 
 
-def _density_stack(rho, name, label=None, first=0, vectors=False):
+def _density_stack(rho, name, label=None, first=0, vectors=False, trajectory=False):
     """LAPACK spectrum of an ``(N, d, d)`` stack of states with the checks
-    of :func:`require_density_matrix` on each: ``(w, v, faults)``, where
-    ``v`` is None unless ``vectors`` and ``faults`` goes to
-    :func:`_raise_first_fault`.  Non-finite matrices are swapped for the
-    identity before the solver sees them; their fault comes first."""
+    of :func:`require_density_matrix` on each (see :func:`_density_faults`
+    for ``trajectory``): ``(w, v, faults)``, where ``v`` is None unless
+    ``vectors`` and ``faults`` goes to :func:`_raise_first_fault`.
+    Non-finite matrices are swapped for the identity before the solver sees
+    them; their fault comes first."""
     finite = np.isfinite(rho).all(axis=(1, 2))
     rho_safe = rho if finite.all() else np.where(finite[:, None, None], rho, np.eye(rho.shape[1]))
     if vectors:
         w, v = _lapack(np.linalg.eigh, rho_safe, label, first)
     else:
         w, v = _lapack(np.linalg.eigvalsh, rho_safe, label, first), None
-    return w, v, _density_faults(rho, w[:, 0], name)
+    return w, v, _density_faults(rho, w[:, 0], name, trajectory)
 
 
 def require_hermitian(a, name="matrix"):

@@ -22,6 +22,7 @@ from qslpath import (
     path_length,
     precession,
     pure_dephasing,
+    qfi_rate,
     report_for_model,
     speed_profile,
     spiral,
@@ -34,6 +35,7 @@ from qslpath import (
 )
 from qslpath import bounds, dynamics
 from qslpath.bounds import _trace_distances
+from qslpath.states import POSITIVITY_FAIL, PSD_TOL
 from conftest import random_density, random_hermitian, random_trajectory
 
 FROZEN = LindbladModel(name="frozen", dim=2,
@@ -444,6 +446,59 @@ class TestBoundReport:
         assert np.isnan(report.tau_op)
         assert not np.isnan(report.tau_min)
         assert not np.isnan(report.tau_av)
+
+
+def one_jump_pure_case(seed, dim, jump_scale):
+    """A random model with one jump ``jump_scale * j`` at rate 0.5, drawn as
+    in ``test_geometry.random_model_trajectory``, and a random pure start."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    j = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    model = LindbladModel(name="random", dim=dim, hamiltonian=0.5 * (g + g.conj().T),
+                          jumps=[(jump_scale * j, 0.5)])
+    return model, random_pure(rng, dim)
+
+
+class TestPositivityContract:
+    """States the integrator produces are accepted by every layer down to
+    the eigenvalue ``evolve`` accepts; inputs stay at ``PSD_TOL``."""
+
+    @pytest.mark.parametrize("seed,dim,jump_scale,tau,steps", [
+        (3, 8, 1.0 / np.sqrt(8.0), 1.0, 64),
+        (6, 7, 1.5, 5.0, 2000),
+    ], ids=["dim8-64-steps", "dim7-2000-steps"])
+    def test_first_step_from_pure_start(self, seed, dim, jump_scale, tau, steps):
+        # the first RK4 step pushes the start's zero eigenvalues below
+        # -PSD_TOL, though not to -POSITIVITY_FAIL
+        model, pure = one_jump_pure_case(seed, dim, jump_scale)
+        traj = evolve(model, pure, tau, steps)
+        lowest = np.linalg.eigvalsh(traj.states[1])[0]
+        assert -POSITIVITY_FAIL < lowest < -PSD_TOL
+        report = build_report(traj)
+        assert 0.0 < report.tau_min <= tau
+        curve = stopping_time_curve(traj, traj.states[-1], [0.5, 0.1])
+        assert np.all(np.isfinite(curve.times))
+
+    def test_trajectory_accepts_what_evolve_accepts(self):
+        model = spiral(0.5, 5.0)
+        traj = evolve(model, model.rho0, 2.0, 64)
+        states = traj.states.copy()
+        states[5] = np.diag([1.0 + 5e-7, -5e-7]).astype(complex)
+        speed_profile(dataclasses.replace(traj, states=states))
+        _trace_distances(states, MIXED)
+        with pytest.raises(StateError, match="negative eigenvalue"):
+            qfi_rate(states[5], traj.derivatives[5])
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_norm_bounds_on_random_pure_starts(self, dim):
+        # Deffner-Lutz bounds are lower bounds on the evolution time, and
+        # the operator norm is the smallest Schatten norm
+        tau = 1.0
+        for seed in range(4):
+            model, pure = one_jump_pure_case(100 * dim + seed, dim, 1.0 / np.sqrt(dim))
+            report = report_for_model(model, pure, tau, 64)
+            assert report.tau_op <= tau + 1e-3
+            assert report.tau_op >= report.tau_hs >= report.tau_tr > 0.0
 
 
 class TestBatchedTraceDistance:

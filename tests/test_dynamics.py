@@ -29,12 +29,11 @@ from qslpath.dynamics import (
     MAX_TRAJECTORY_BYTES,
     PLUS_STATE,
     SIGMA_MINUS,
-    _gksl_rhs,
     _integrate,
     _liouvillian,
     _require_storage,
-    _rk4_step,
 )
+from qslpath.geometry import ORIGIN_CELLS, ORIGIN_SUBSTEPS, _refined_origin
 from conftest import random_density
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -66,17 +65,53 @@ def transition(i, j, dim):
     return op
 
 
+def gksl_rhs(model):
+    """The GKSL right-hand side
+
+        drho/dt = -i [H, rho] + sum_k gamma_k (L_k rho L_k' - 0.5 {L_k' L_k, rho})
+
+    written out term by term, independently of the Liouvillian, as a
+    function of one ``(d, d)`` state or an ``(N, d, d)`` stack."""
+    ham = model.hamiltonian
+    terms = []
+    for op, rate in model.jumps:
+        op = np.asarray(op, dtype=complex)
+        opd = op.conj().T
+        terms.append((op, opd, opd @ op, rate))
+
+    def rhs(rho):
+        out = -1.0j * (ham @ rho - rho @ ham)
+        for op, opd, opdop, rate in terms:
+            out = out + rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
+        return out
+
+    return rhs
+
+
+def gksl_rk4_step(rhs, rho, h, renormalize=True):
+    """One four-evaluation RK4 step of size ``h`` of ``rhs`` from the state
+    ``rho``, then Hermitian symmetrization and, optionally, trace
+    renormalization."""
+    k1 = rhs(rho)
+    k2 = rhs(rho + (0.5 * h) * k1)
+    k3 = rhs(rho + (0.5 * h) * k2)
+    k4 = rhs(rho + h * k3)
+    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rho = 0.5 * (rho + rho.conj().T)
+    if renormalize:
+        rho = rho / rho.trace().real
+    return rho
+
+
 def gksl_reference(model, rho0, tau, steps, renormalize):
     """States and derivatives of the four-evaluation RK4 loop on the GKSL
     right-hand side, with the same symmetrization and renormalization."""
-    rhs = _gksl_rhs(model)
+    rhs = gksl_rhs(model)
     h = tau / steps
     rho = rho0
     states = [rho]
     for _ in range(steps):
-        rho = _rk4_step(rhs, rho, rhs(rho), h)
-        if renormalize:
-            rho = rho / rho.trace().real
+        rho = gksl_rk4_step(rhs, rho, h, renormalize)
         states.append(rho)
     states = np.array(states)
     return states, rhs(states)
@@ -151,8 +186,10 @@ class TestLiouvillian:
     @pytest.mark.parametrize("model,rho,tau,label", INTEGRATION_CASES,
                              ids=[case[-1] for case in INTEGRATION_CASES])
     def test_matches_lindblad_rhs(self, model, rho, tau, label):
-        expected = lindblad_rhs(model, rho)
+        expected = gksl_rhs(model)(rho)
         got = (_liouvillian(model) @ rho.reshape(-1)).reshape(rho.shape)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+        got = lindblad_rhs(model, rho)
         assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("renormalize", [True, False])
@@ -164,6 +201,34 @@ class TestLiouvillian:
         states, derivs = gksl_reference(model, rho0, tau, steps, renormalize)
         assert np.max(np.abs(traj.states - states)) <= 1e-13 * np.max(np.abs(states))
         assert np.max(np.abs(traj.derivatives - derivs)) <= 1e-13 * np.max(np.abs(derivs))
+
+
+class TestOriginSubsteps:
+    """The Horner-form sub-steps of the origin refinement against the
+    four-evaluation RK4 loop on the GKSL right-hand side."""
+
+    @pytest.mark.parametrize("model,rho0,tau,label", INTEGRATION_CASES,
+                             ids=[case[-1] for case in INTEGRATION_CASES])
+    def test_matches_gksl_substeps(self, model, rho0, tau, label):
+        traj = _integrate(model, rho0, tau, 64, set())
+        times, states, derivs = _refined_origin(traj, ORIGIN_CELLS)
+        inner = ORIGIN_SUBSTEPS - 1
+        s = np.sqrt(traj.times[: ORIGIN_CELLS + 1])
+        nodes = np.array([np.linspace(a, b, ORIGIN_SUBSTEPS + 1)[1:-1] ** 2
+                          for a, b in zip(s[:-1], s[1:])])
+        np.testing.assert_allclose(times, nodes.ravel(), rtol=1e-14, atol=0.0)
+        rhs = gksl_rhs(model)
+        want = []
+        for cell in range(ORIGIN_CELLS):
+            rho, t_now = traj.states[cell], traj.times[cell]
+            for t_next in times[cell * inner:(cell + 1) * inner]:
+                rho = gksl_rk4_step(rhs, rho, t_next - t_now)
+                t_now = t_next
+                want.append(rho)
+        want = np.array(want)
+        assert np.max(np.abs(states - want)) <= 1e-13 * np.max(np.abs(want))
+        want_derivs = rhs(want)
+        assert np.max(np.abs(derivs - want_derivs)) <= 1e-13 * np.max(np.abs(want_derivs))
 
 
 class TestEvolve:

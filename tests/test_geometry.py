@@ -432,6 +432,5 @@ class TestMergedGrid:
         self.assert_matches_reference(traj)
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         pure = np.outer(v, v.conj()) / np.vdot(v, v).real
-        # a short horizon: RK4 steps of 1/64 from a pure start can leave an
-        # eigenvalue below the -1e-10 the speed samples accept (dims 7, 8)
+        # the same model from a pure start
         self.assert_matches_reference(evolve(traj.model, pure, 0.25, 64))
